@@ -27,15 +27,18 @@ from .index_algebra import (
     compositions,
     depth,
     dual,
+    indices_up_to_weight,
     plus_one,
     refinements,
     require_index,
+    require_int,
     require_signed_parts,
     weight,
 )
 from .mzv_numeric import (
     EvalResult,
     PoleError,
+    _iterated_log_tail,
     exact_result,
     mzsv,
     mzv,
@@ -83,11 +86,6 @@ __all__ = [
 ]
 
 
-def _require_positive_arg(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"argument must be an integer >= 1, got {m!r}")
-
-
 def _finite_base(k: tuple[int, ...]) -> tuple[int, ...]:
     # The admissible index whose shifted family carries the values of
     # xi and eta at positive integers: dualize after raising the last part.
@@ -105,7 +103,7 @@ def xi_at_positive(k, m: int) -> EvalResult:
     of binomial coefficients C(base_i + j_i - 1, j_i).
     """
     parts = require_index(k)
-    _require_positive_arg(m)
+    require_int(m, "m", 1)
     base = _finite_base(parts)
     terms = [
         mzv(tuple(b + j for b, j in zip(base, comp))).scale(b_coefficient(base, comp))
@@ -118,7 +116,7 @@ def eta_at_positive(k, m: int) -> EvalResult:
     """eta(k; m) at an integer m >= 1: the same combination as xi but
     with zeta-star values and the sign (-1)^(depth-1)."""
     parts = require_index(k)
-    _require_positive_arg(m)
+    require_int(m, "m", 1)
     base = _finite_base(parts)
     terms = [
         mzsv(tuple(b + j for b, j in zip(base, comp))).scale(b_coefficient(base, comp))
@@ -130,16 +128,14 @@ def eta_at_positive(k, m: int) -> EvalResult:
 def xi_nonpositive(k, m: int) -> Fraction:
     """xi(k; -m) for m >= 0, exactly: (-1)^m times the C-family number."""
     parts = require_index(k)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    require_int(m, "m", 0)
     return (-1) ** m * multi_poly_bernoulli(m, parts, "C")
 
 
 def eta_nonpositive_value(k, m: int) -> Fraction:
     """eta(k; -m) for m >= 0, exactly: the B-family number.  The index
     may contain arbitrary integers."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    require_int(m, "m", 0)
     return multi_poly_bernoulli(m, tuple(k), "B")
 
 
@@ -189,7 +185,7 @@ def xi_explicit_family(index, m: int) -> EvalResult:
     at m = 1 when k >= 2) surface as PoleError.
     """
     parts = require_index(index)
-    _require_positive_arg(m)
+    require_int(m, "m", 1)
     r = len(parts)
     if all(p == 1 for p in parts[:-1]):
         k = parts[-1]
@@ -242,21 +238,6 @@ def _g_tables(max_order: int, cutoff: int) -> list:
     return tables
 
 
-def _iterated_log_tail(q: int, power: int, cutoff: int):
-    """Bound for sum_{c > cutoff} (1 + ln c)^q / c^power via integral plus
-    maximal term; (1 + ln c)^q dominates the harmonic iterates without a
-    factorial saving, so none is claimed."""
-    v0 = 1 + mpmath.log(cutoff)
-    s = power - 1
-    integral = mpmath.e**s * mpmath.gammainc(q + 1, s * v0) / mpmath.mpf(s) ** (q + 1)
-
-    def g(x):
-        return (1 + mpmath.log(x)) ** q * mpmath.mpf(x) ** (-power)
-
-    peak = mpmath.e ** (q / power - 1)
-    return integral + (g(cutoff) if cutoff >= peak else g(peak))
-
-
 def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     """Manifestly symmetric series for the depth-one eta at (k, n):
 
@@ -274,6 +255,7 @@ def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
     value = float(np.sum(tables[k - 1] * tables[n - 1] * inv * inv))
+    # G_j(c) <= (1 + ln c)^j with no factorial saving, so none is claimed.
     tail = _iterated_log_tail(k + n - 2, 2, cutoff)
     rounding = abs(value) * (k + n) * cutoff * 2.3e-16 * 8
     return EvalResult(mpmath.mpf(value), tail + rounding, "symmetric-series")
@@ -300,14 +282,6 @@ def xi_series_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
 # Checks.
 
 
-def _indices_up_to_weight(max_weight: int) -> list[tuple[int, ...]]:
-    out = []
-    for w in range(1, max_weight + 1):
-        for r in range(1, w + 1):
-            out += [tuple(c + 1 for c in comp) for comp in compositions(w - r, r)]
-    return sorted(set(out))
-
-
 def landen_check(max_weight: int = 5, order: int = 20) -> list[VerificationReport]:
     """Exact Taylor identity under the substitution z -> z/(z-1):
 
@@ -317,7 +291,7 @@ def landen_check(max_weight: int = 5, order: int = 20) -> list[VerificationRepor
     weight up to max_weight."""
     inner = TruncatedSeries.from_list([0] + [-1] * order)  # z/(z-1)
     out = []
-    for k in _indices_up_to_weight(max_weight):
+    for k in indices_up_to_weight(max_weight):
         watch = Stopwatch()
         lhs = mpl_coeffs(k, order).compose(inner)
         rhs = TruncatedSeries.zero(order)
@@ -347,7 +321,7 @@ def etaxi_relation_check(
 
     checked numerically at the given integer arguments."""
     out = []
-    for k in _indices_up_to_weight(max_weight):
+    for k in indices_up_to_weight(max_weight):
         sign = (-1) ** (depth(k) - 1)
         for m in m_values:
             watch = Stopwatch()

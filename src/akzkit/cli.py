@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import mpmath
@@ -18,7 +19,7 @@ from . import ak_zeta, level2, pbn, verify
 from .mzv_numeric import EvalResult, PoleError, configure, mzv, mzsv, t0_value, t_value
 from .reports import any_failure, reports_to_document, summarize, write_json
 
-__all__ = ["parse_index", "run_command", "main"]
+__all__ = ["parse_index", "certified_digits", "run_command", "main"]
 
 
 def parse_index(text: str) -> tuple[str, tuple[int, ...]]:
@@ -50,8 +51,30 @@ def parse_index(text: str) -> tuple[str, tuple[int, ...]]:
     return sign, parts
 
 
+def certified_digits(res: EvalResult) -> int | float:
+    """How many significant digits of res.value its error bound certifies:
+    the most d for which the bound is at most half a unit in the d-th
+    digit, so the value rounded to d digits is within one unit in its
+    last place of the true value.
+
+    >>> certified_digits(EvalResult(mpmath.mpf(1.5), mpmath.mpf(0.0006), "test"))
+    3
+    """
+    if not res.error_bound:
+        return math.inf
+    if not res.value:
+        return 0
+    leading = mpmath.floor(mpmath.log10(abs(res.value)))
+    return int(mpmath.floor(leading + 1 - mpmath.log10(2 * res.error_bound)))
+
+
 def _print_result(res: EvalResult, digits: int) -> None:
-    print(mpmath.nstr(res.value, digits))
+    certified = certified_digits(res)
+    if certified < 1:
+        raise RuntimeError(f"the error bound {mpmath.nstr(res.error_bound, 3)} certifies no digit")
+    if certified < digits:
+        print(f"note: the error bound certifies {certified} of {digits} digits", file=sys.stderr)
+    print(mpmath.nstr(res.value, min(digits, certified)))
 
 
 def _print_reports(reports, as_json: str | None) -> int:
@@ -166,8 +189,23 @@ def _cmd_verify_all(args) -> int:
     return _print_reports(reports, args.json)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_digits(parser) -> None:
-    parser.add_argument("--digits", type=int, default=30, help="significant digits to print")
+    parser.add_argument(
+        "--digits",
+        type=_positive_int,
+        default=30,
+        help="significant digits to print, at most as many as the error bound certifies",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run every identity check in the package")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted; tasks run serially")
     p.add_argument("--json", default=None, help="write reports as JSON ('-' for stdout)")
     p.add_argument(
         "--inject-perturbation",

@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .index_algebra import compositions
+from .index_algebra import compositions, require_signed_parts
 from .reports import VerificationReport, Stopwatch, report_exact
 
 __all__ = [
     "TruncatedSeries",
     "one_minus_exp",
     "compose_one_minus_exp",
+    "exact_power",
     "mpl_coeffs",
     "stirling2",
     "RationalFunctionRep",
@@ -206,9 +207,13 @@ def compose_one_minus_exp(a: TruncatedSeries, sign: int, cap: int) -> TruncatedS
     return TruncatedSeries(tuple(out))
 
 
-def _power_factor(m: int, e: int) -> Fraction:
-    # m^(-e) for any integer e, kept exact.
-    return Fraction(1, m**e) if e >= 0 else Fraction(m ** (-e))
+def exact_power(m: int, e: int) -> Fraction:
+    """m^e as an exact Fraction, for any integer exponent e.
+
+    >>> exact_power(2, -3)
+    Fraction(1, 8)
+    """
+    return Fraction(m**e) if e >= 0 else Fraction(1, m ** (-e))
 
 
 def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:
@@ -227,13 +232,13 @@ def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:
         raise ValueError("need at least one exponent")
     h = [_ZERO] * (cap + 1)
     for m in range(1, cap + 1):
-        h[m] = _power_factor(m, exponents[0])
+        h[m] = exact_power(m, -exponents[0])
     for e in exponents[1:]:
         running = _ZERO
         nxt = [_ZERO] * (cap + 1)
         for m in range(1, cap + 1):
             running += h[m - 1]
-            nxt[m] = _power_factor(m, e) * running
+            nxt[m] = exact_power(m, -e) * running
         h = nxt
     return TruncatedSeries(tuple(h))
 
@@ -306,10 +311,7 @@ def negative_mpl(parts: tuple[int, ...]) -> RationalFunctionRep:
     The result is P(z)/(1-z)^(w+r) with w the sum of the parts; P has
     degree w+r-1 (or r when all parts vanish) and is divisible by z^r.
     """
-    if not parts:
-        raise ValueError("need at least one part")
-    if any(not isinstance(p, int) or isinstance(p, bool) or p < 0 for p in parts):
-        raise ValueError(f"parts must be nonnegative integers, got {parts!r}")
+    parts = require_signed_parts(parts)
     poly: list[Fraction] = [_ONE]
     d = 0
     for p in parts:

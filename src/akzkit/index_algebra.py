@@ -6,9 +6,9 @@ last entry is at least 2 (the convention throughout is that summation
 variables increase, m_1 < ... < m_r, so the last exponent controls
 convergence).  This module holds the pure combinatorics the rest of the
 package leans on: the k_+ operator, duality by binary-word reversal, the
-refinement partial order, composition enumeration, and the product of
-binomial coefficients b(k; j) that appears in the finite evaluation
-formulas.
+refinement partial order, composition and index enumeration, the
+product of binomial coefficients b(k; j) that appears in the finite
+evaluation formulas, and the integer validator every module uses.
 
 Everything here is value-semantic and safe to call concurrently.
 """
@@ -24,10 +24,12 @@ Composition = tuple[int, ...]
 __all__ = [
     "Index",
     "Composition",
+    "require_int",
     "weight",
     "depth",
     "require_index",
     "require_signed_parts",
+    "require_integer_index",
     "is_admissible",
     "plus_one",
     "dual",
@@ -35,18 +37,40 @@ __all__ = [
     "coarsenings",
     "b_coefficient",
     "compositions",
+    "indices_up_to_weight",
 ]
+
+
+def require_int(value: int, name: str, minimum: int | None = None) -> int:
+    """Return value if it is an int (bool excluded) and at least minimum,
+    else raise ValueError naming the argument.
+
+    >>> require_int(3, "n", 1)
+    3
+    >>> require_int(True, "n")
+    Traceback (most recent call last):
+    ...
+    ValueError: n must be an integer, got True
+    """
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not is_int or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _require_parts(k: Iterable[int], what: str, minimum: int | None) -> Index:
+    parts = tuple(k)
+    if not parts:
+        raise ValueError(f"{what} must be nonempty")
+    for p in parts:
+        require_int(p, f"every part of {what} {parts!r}", minimum)
+    return parts
 
 
 def require_index(k: Iterable[int]) -> Index:
     """Validate and normalize an index: nonempty, every part a positive int."""
-    parts = tuple(k)
-    if not parts:
-        raise ValueError("index must be nonempty")
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"index parts must be integers >= 1, got {parts!r}")
-    return parts
+    return _require_parts(k, "index", 1)
 
 
 def require_signed_parts(k: Iterable[int]) -> Index:
@@ -55,13 +79,14 @@ def require_signed_parts(k: Iterable[int]) -> Index:
     Such a tuple stands for the negated exponent list (-k_1, ..., -k_r),
     the convention used by the negative-index polylogarithm helpers.
     """
-    parts = tuple(k)
-    if not parts:
-        raise ValueError("signed index must be nonempty")
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-            raise ValueError(f"signed index parts must be integers >= 0, got {parts!r}")
-    return parts
+    return _require_parts(k, "signed index", 0)
+
+
+def require_integer_index(k: Iterable[int]) -> Index:
+    """Validate and normalize a multi-index of arbitrary integers, the
+    upper index of the poly-Bernoulli numbers: nonempty, every entry an
+    int of any sign."""
+    return _require_parts(k, "index", None)
 
 
 def weight(k: Iterable[int]) -> int:
@@ -208,3 +233,18 @@ def compositions(total: int, parts: int) -> list[Composition]:
         for rest in compositions(total - first, parts - 1):
             out.append((first,) + rest)
     return out
+
+
+def indices_up_to_weight(max_weight: int) -> list[Index]:
+    """Every index of weight 1 through max_weight, admissible or not, in
+    ascending lexicographic order.
+
+    >>> indices_up_to_weight(3)
+    [(1,), (1, 1), (1, 1, 1), (1, 2), (2,), (2, 1), (3,)]
+    """
+    return sorted(
+        tuple(c + 1 for c in comp)
+        for w in range(1, max_weight + 1)
+        for r in range(1, w + 1)
+        for comp in compositions(w - r, r)
+    )

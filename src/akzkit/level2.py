@@ -23,10 +23,11 @@ from fractions import Fraction
 import mpmath
 
 from .exact_series import TruncatedSeries, mpl_coeffs
-from .index_algebra import compositions, require_index
+from .index_algebra import compositions, indices_up_to_weight, require_index, require_int
 from .mzv_numeric import (
     EvalResult,
     PoleError,
+    _activate,
     polylog_near_one,
     sum_results,
     t0_value,
@@ -89,14 +90,6 @@ def _arctanh_series(cap: int) -> TruncatedSeries:
     )
 
 
-def _indices_up_to_weight(max_weight: int) -> list[tuple[int, ...]]:
-    out = []
-    for w in range(1, max_weight + 1):
-        for r in range(1, w + 1):
-            out += [tuple(c + 1 for c in comp) for comp in compositions(w - r, r)]
-    return sorted(set(out))
-
-
 def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
     """Exact structural facts about the level-two polylogarithm:
 
@@ -141,7 +134,7 @@ def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
                 elapsed=watch.elapsed(),
             )
         )
-    for k in _indices_up_to_weight(6):
+    for k in indices_up_to_weight(6):
         if len(k) == 1 and k[0] == 1:
             continue
         watch = Stopwatch()
@@ -195,12 +188,6 @@ def _height_one(r: int, k: int) -> tuple[int, ...]:
     return (1,) * (r - 1) + (k,)
 
 
-def _validate_rk(r: int, k: int) -> None:
-    for name, v in (("r", r), ("k", k)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-
-
 def psi_at_positive(r: int, k: int, m: int) -> EvalResult:
     """psi on the height-one index (1^(r-1), k) at an integer m >= 1.
 
@@ -210,9 +197,9 @@ def psi_at_positive(r: int, k: int, m: int) -> EvalResult:
         sum over compositions a of m-1 into k parts of
         C(a_k + r, r) * T(a_1 + 1, ..., a_(k-1) + 1, a_k + r + 1).
     """
-    _validate_rk(r, k)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    require_int(r, "r", 1)
+    require_int(k, "k", 1)
+    require_int(m, "m", 1)
     if m == 1:
         return t_value(_height_one(r, k + 1))
     terms = []
@@ -231,7 +218,8 @@ def psi_alternating_form(r: int, k: int, m: int) -> EvalResult:
 
     Divergent constituents (m = 1 with k >= 2) raise PoleError.
     """
-    _validate_rk(r, k)
+    require_int(r, "r", 1)
+    require_int(k, "k", 1)
     first = []
     for a in compositions(r, k):
         idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m,)
@@ -372,10 +360,10 @@ def psi_depth1_integral(k: int, s: int, upper: float = 60.0, maxdegree: int = 8)
     factor of ten); the discarded range beyond `upper` is covered by an
     explicit incomplete-gamma bound.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise ValueError(f"s must be an integer >= 1, got {s!r}")
+    require_int(k, "k", 2)
+    require_int(s, "s", 1)
+    # Pin the configured precision before mpmath.quad saves and restores it.
+    _activate()
     cap = 140
     series = [mpmath.mpf(c.numerator) / c.denominator for c in ath_coeffs((k,), cap).coeffs]
     gamma_s = math.factorial(s - 1)

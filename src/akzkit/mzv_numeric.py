@@ -7,11 +7,11 @@ point (the default), and a plain truncated nested sum with an analytic
 tail estimate (the oracle).  Checks elsewhere compare the routes and
 treat the bounds as part of the pass criterion, never as decoration.
 
-Words here encode iterated integrals over three one-forms: symbol 0 for
-dt/t, symbol 1 for dt/(1-t), symbol 2 for dt/(1-t^2).  An index
-(k_1, ..., k_r) maps to the word 0^(k_r-1) a 0^(k_(r-1)-1) a ... with
-a = 1 at level one and a = 2 at level two; the level-two form introduces
-the parity pattern m_i = i mod 2 in the underlying sums.
+Words here encode iterated integrals over the one-forms dt/t (symbol 0)
+and dt/(1-t^a) (symbol a).  An index (k_1, ..., k_r) maps to the word
+0^(k_r-1) a 0^(k_(r-1)-1) a ... with the letter a = 1 at level one and
+a = 2 at level two; the level-two form introduces the parity pattern
+m_i = i mod 2 in the underlying sums.  Both levels share one engine.
 
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked.  All caches are plain
@@ -30,7 +30,15 @@ from typing import Any
 
 import mpmath
 
-from .index_algebra import coarsenings, compositions, depth, dual, require_index
+from .index_algebra import (
+    coarsenings,
+    depth,
+    dual,
+    indices_up_to_weight,
+    require_index,
+    require_int,
+    weight,
+)
 from .reports import Stopwatch, report_numeric
 
 __all__ = [
@@ -166,19 +174,11 @@ def sum_results(items: list[EvalResult], method: str = "composite") -> EvalResul
 # The word engine.
 
 
-def word_level1(parts: tuple[int, ...]) -> tuple[int, ...]:
+def _word(parts: tuple[int, ...], letter: int) -> tuple[int, ...]:
     w: list[int] = []
     for p in reversed(parts):
         w.extend([0] * (p - 1))
-        w.append(1)
-    return tuple(w)
-
-
-def word_level2(parts: tuple[int, ...]) -> tuple[int, ...]:
-    w: list[int] = []
-    for p in reversed(parts):
-        w.extend([0] * (p - 1))
-        w.append(2)
+        w.append(letter)
     return tuple(w)
 
 
@@ -196,27 +196,16 @@ def _tail_series(word: tuple[int, ...], cap: int) -> tuple:
             if coeffs[0]:
                 raise PoleError(f"word {word!r} is not integrable at the origin")
             coeffs = [mpmath.mpf(0)] + [coeffs[n] / n for n in range(1, cap + 1)]
-        elif sym == 1:
-            nxt = [mpmath.mpf(0)] * (cap + 1)
-            running = mpmath.mpf(0)
-            for n in range(1, cap + 1):
-                running += coeffs[n - 1]
-                nxt[n] = running / n
-            coeffs = nxt
-        elif sym == 2:
-            nxt = [mpmath.mpf(0)] * (cap + 1)
-            even_run = mpmath.mpf(0)  # sum of coeffs at even m below n
-            odd_run = mpmath.mpf(0)
-            for n in range(1, cap + 1):
-                if (n - 1) % 2 == 0:
-                    even_run += coeffs[n - 1]
-                    nxt[n] = even_run / n
-                else:
-                    odd_run += coeffs[n - 1]
-                    nxt[n] = odd_run / n
-            coeffs = nxt
         else:
-            raise ValueError(f"unknown word symbol {sym!r}")
+            # dt/(1-t^sym): coefficient n sums the coefficients m < n with
+            # m = n-1 mod sym, so run one sum per residue class.
+            nxt = [mpmath.mpf(0)] * (cap + 1)
+            for first in range(1, sym + 1):
+                running = mpmath.mpf(0)
+                for n in range(first, cap + 1, sym):
+                    running += coeffs[n - 1]
+                    nxt[n] = running / n
+            coeffs = nxt
     result = tuple(coeffs)
     _series_cache[key] = result
     return result
@@ -255,12 +244,35 @@ def _word_value(word: tuple[int, ...], z) -> tuple:
     return out
 
 
-def _swap1(prefix: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(1 - s for s in reversed(prefix))
-
-
-def _swap2(prefix: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(2 - s for s in reversed(prefix))
+def _path_split(parts: tuple[int, ...], letter: int, point) -> EvalResult:
+    """The word integral of the index from 0 to 1, split at the fixed
+    point of the involution that swaps dt/t with dt/(1-t^letter):
+    t -> 1-t at level one (point 1/2), t -> (1-t)/(1+t) at level two
+    (point sqrt(2)-1).  The upper piece maps onto a lower piece of the
+    reversed, letter-swapped word, turning the value into a finite
+    convolution of rapidly converging pieces (Borwein, Bradley,
+    Broadhurst and Lisonek, "Special values of multiple polylogarithms",
+    2001)."""
+    key = (letter, parts, _state["prec"])
+    hit = _result_cache.get(key)
+    if hit is not None:
+        return hit
+    word = _word(parts, letter)
+    total = mpmath.mpf(0)
+    bound = mpmath.mpf(0)
+    # The level-two involution carries dt/t to 2 dt/(1-t^2) and
+    # dt/(1-t^2) to dt/(2t); at level one the forms swap with factor 1.
+    factor = mpmath.mpf(1)
+    for j in range(len(word) + 1):
+        if j > 0 and letter == 2:
+            factor *= 2 if word[j - 1] == 0 else mpmath.mpf(1) / 2
+        a, ea = _word_value(tuple(letter - s for s in reversed(word[:j])), point)
+        b, eb = _word_value(word[j:], point)
+        total += factor * a * b
+        bound += factor * (abs(a) * eb + abs(b) * ea + ea * eb)
+    res = EvalResult(total, bound + _smear(total), "path-split-convolution")
+    _result_cache[key] = res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +286,6 @@ def _require_admissible(k) -> tuple[int, ...]:
     return parts
 
 
-def _mzv_clean(parts: tuple[int, ...]) -> EvalResult:
-    key = ("zeta", parts, _state["prec"])
-    hit = _result_cache.get(key)
-    if hit is not None:
-        return hit
-    word = word_level1(parts)
-    half = mpmath.mpf(1) / 2
-    total = mpmath.mpf(0)
-    bound = mpmath.mpf(0)
-    # Split the path at 1/2: the upper piece maps onto a lower piece of
-    # the reversed, letter-swapped word, turning the value into a finite
-    # convolution of rapidly converging pieces.
-    for j in range(len(word) + 1):
-        a, ea = _word_value(_swap1(word[:j]), half)
-        b, eb = _word_value(word[j:], half)
-        total += a * b
-        bound += abs(a) * eb + abs(b) * ea + ea * eb
-    res = EvalResult(total, bound + _smear(total), "path-split-convolution")
-    _result_cache[key] = res
-    return res
-
-
 def mzv(k) -> EvalResult:
     """The multiple zeta value of an admissible index, summing
     1/(m_1^{k_1} ... m_r^{k_r}) over 0 < m_1 < ... < m_r.
@@ -304,7 +294,7 @@ def mzv(k) -> EvalResult:
     """
     _activate()
     parts = _require_admissible(k)
-    res = _mzv_clean(parts)
+    res = _path_split(parts, 1, mpmath.mpf(1) / 2)
     if _state["perturb"] and parts == (1, 2):
         return EvalResult(res.value * (1 + mpmath.mpf("1e-6")), res.error_bound, res.method + "+nudge")
     return res
@@ -315,9 +305,7 @@ def zeta(s: int) -> EvalResult:
 
     Raises PoleError at and below 1, where the series diverges.
     """
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise ValueError(f"argument must be an integer, got {s!r}")
-    if s <= 1:
+    if require_int(s, "s") <= 1:
         raise PoleError(f"pole or divergence at argument {s}")
     return mzv((s,))
 
@@ -340,7 +328,7 @@ def mpl_numeric(k, z) -> EvalResult:
         raise ValueError("evaluation point must satisfy |z| <= 0.95")
     if zv == 0:
         return exact_result(0, "series")
-    value, err = _word_value(word_level1(parts), zv)
+    value, err = _word_value(_word(parts, 1), zv)
     return EvalResult(value, err, "series")
 
 
@@ -354,36 +342,12 @@ def _special_point(prec: int):
         return mpmath.sqrt(2) - 1
 
 
-def _t0_clean(parts: tuple[int, ...]) -> EvalResult:
-    key = ("t0", parts, _state["prec"])
-    hit = _result_cache.get(key)
-    if hit is not None:
-        return hit
-    word = word_level2(parts)
-    zstar = _special_point(_state["prec"])
-    total = mpmath.mpf(0)
-    bound = mpmath.mpf(0)
-    # The fixed point of t -> (1-t)/(1+t) splits the path; the involution
-    # exchanges the two one-forms up to the constant factors below.
-    factor = mpmath.mpf(1)
-    for j in range(len(word) + 1):
-        if j > 0:
-            factor *= 2 if word[j - 1] == 0 else mpmath.mpf(1) / 2
-        a, ea = _word_value(_swap2(word[:j]), zstar)
-        b, eb = _word_value(word[j:], zstar)
-        total += factor * a * b
-        bound += factor * (abs(a) * eb + abs(b) * ea + ea * eb)
-    res = EvalResult(total, bound + _smear(total), "path-split-convolution")
-    _result_cache[key] = res
-    return res
-
-
 def t0_value(k) -> EvalResult:
     """The parity-restricted zeta value: the defining sum runs over
     0 < m_1 < ... < m_r with m_i = i mod 2."""
     _activate()
     parts = _require_admissible(k)
-    return _t0_clean(parts)
+    return _path_split(parts, 2, _special_point(_state["prec"]))
 
 
 def t_value(k) -> EvalResult:
@@ -396,37 +360,32 @@ def t_value(k) -> EvalResult:
 # Direct-sum oracles with analytic tail bounds.
 
 
-def _tail_bound_direct(parts: tuple[int, ...], cutoff: int):
-    """Upper bound for the discarded terms of the nested sum truncated at
-    m_r <= cutoff.
-
-    Relax every inner part >= 2 to an independent full sum (factor Z),
-    keep the q inner parts equal to 1 mutually ordered so their harmonic
-    product is at most (1 + ln m)^q / q!, then compare the remaining sum
-    over m > cutoff with an integral plus one maximal term.
-    """
-    kr = parts[-1]
-    q = sum(1 for p in parts[:-1] if p == 1)
-    z_factor = mpmath.mpf(1)
-    for p in parts[:-1]:
-        if p >= 2:
-            z_factor *= 1 + mpmath.mpf(1) / (p - 1)
+def _iterated_log_tail(q: int, power: int, cutoff: int):
+    """Bound for sum_{c > cutoff} (1 + ln c)^q / c^power (power >= 2) via
+    the integral plus one maximal term.  No factorial saving is claimed;
+    callers that have one divide by q! themselves."""
     v0 = 1 + mpmath.log(cutoff)
-    integral = (
-        mpmath.e ** (kr - 1)
-        * mpmath.gammainc(q + 1, (kr - 1) * v0)
-        / mpmath.mpf(kr - 1) ** (q + 1)
-    )
+    s = power - 1
+    integral = mpmath.e**s * mpmath.gammainc(q + 1, s * v0) / mpmath.mpf(s) ** (q + 1)
 
     def g(x):
-        return (1 + mpmath.log(x)) ** q * mpmath.mpf(x) ** (-kr)
+        return (1 + mpmath.log(x)) ** q * mpmath.mpf(x) ** (-power)
 
-    peak = mpmath.e ** (q / kr - 1)
-    g_max = g(cutoff) if cutoff >= peak else g(peak)
-    return z_factor * (integral + g_max) / math.factorial(q)
+    peak = mpmath.e ** (q / power - 1)
+    return integral + (g(cutoff) if cutoff >= peak else g(peak))
 
 
 def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
+    """(value, bound) of the nested sum truncated at m_r <= cutoff, in
+    float64.  The bound adds the discarded terms to the rounding.
+
+    For the discarded terms, relax every inner part >= 2 to an independent
+    full sum (factor Z), keep the q inner parts equal to 1 mutually
+    ordered so their harmonic product is at most (1 + ln m)^q / q!, and
+    bound the remaining sum over m > cutoff.  Dropping the parity
+    constraint only adds positive terms, so the bound covers both
+    families.
+    """
     import numpy as np
 
     m = np.arange(cutoff + 1, dtype=np.float64)
@@ -445,7 +404,13 @@ def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
     # float64 rounding: relative error per cumsum stage grows linearly in
     # the length; r stages over cutoff terms, with margin.
     rounding = abs(total) * len(parts) * cutoff * 2.3e-16 * 8
-    return mpmath.mpf(total), mpmath.mpf(rounding)
+    q = sum(1 for p in parts[:-1] if p == 1)
+    z_factor = mpmath.mpf(1)
+    for p in parts[:-1]:
+        if p >= 2:
+            z_factor *= 1 + mpmath.mpf(1) / (p - 1)
+    tail = z_factor * _iterated_log_tail(q, parts[-1], cutoff) / math.factorial(q)
+    return mpmath.mpf(total), tail + mpmath.mpf(rounding)
 
 
 def mzv_direct(k, cutoff: int = 100_000) -> EvalResult:
@@ -453,33 +418,27 @@ def mzv_direct(k, cutoff: int = 100_000) -> EvalResult:
     low-accuracy by design; its honest tail bound makes it an oracle."""
     _activate()
     parts = _require_admissible(k)
-    value, rounding = _nested_sum(parts, int(cutoff), parity=False)
-    return EvalResult(value, _tail_bound_direct(parts, int(cutoff)) + rounding, "direct-sum")
+    value, bound = _nested_sum(parts, int(cutoff), parity=False)
+    return EvalResult(value, bound, "direct-sum")
 
 
 def t0_direct(k, cutoff: int = 100_000) -> EvalResult:
-    """Truncated nested sum for the parity-restricted value.  The level
-    one tail bound applies: dropping the parity constraint only adds
-    positive terms."""
+    """Truncated nested sum for the parity-restricted value, with the
+    level-one tail bound."""
     _activate()
     parts = _require_admissible(k)
-    value, rounding = _nested_sum(parts, int(cutoff), parity=True)
-    return EvalResult(value, _tail_bound_direct(parts, int(cutoff)) + rounding, "direct-sum-parity")
+    value, bound = _nested_sum(parts, int(cutoff), parity=True)
+    return EvalResult(value, bound, "direct-sum-parity")
 
 
 # ---------------------------------------------------------------------------
 # The polylogarithm just below 1, and exact zeta values at integers <= 0.
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_list(n: int) -> tuple[Fraction, ...]:
-    items = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * items[j]
-        items.append(-acc / (m + 1))
-    return tuple(items)
+# B_0, B_1, ... as far as any caller has asked; grown under the lock so
+# that concurrent callers append each number once and in order.
+_bernoulli_table: list[Fraction] = [Fraction(1)]
+_bernoulli_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -490,7 +449,15 @@ def bernoulli_number(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _bernoulli_list(n)[n]
+    items = _bernoulli_table
+    if n >= len(items):
+        with _bernoulli_lock:
+            for m in range(len(items), n + 1):
+                acc = Fraction(0)
+                for j in range(m):
+                    acc += math.comb(m + 1, j) * items[j]
+                items.append(-acc / (m + 1))
+    return items[n]
 
 
 def zeta_nonpositive(n: int) -> Fraction:
@@ -513,8 +480,7 @@ def polylog_near_one(k: int, u) -> EvalResult:
     branches agree at the seam, which tests pin down.
     """
     _activate()
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    require_int(k, "k", 2)
     uv = _mpf(u)
     if uv <= 0:
         raise ValueError("u must be positive")
@@ -563,8 +529,8 @@ def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
     of weight up to max_weight (each dual pair checked once)."""
     out = []
     seen = set()
-    for w in range(2, max_weight + 1):
-        for k in _admissible_indices(w):
+    for k in sorted(indices_up_to_weight(max_weight), key=weight):
+        if k[-1] >= 2:
             d = dual(k)
             if (d, k) in seen:
                 continue
@@ -581,16 +547,6 @@ def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
                 )
             )
     return out
-
-
-def _admissible_indices(weight: int) -> list[tuple[int, ...]]:
-    out = []
-    for r in range(1, weight):
-        for comp in compositions(weight - r, r):
-            cand = tuple(c + 1 for c in comp)
-            if cand[-1] >= 2:
-                out.append(cand)
-    return sorted(out)
 
 
 _ORACLE_SLATE_ZETA = ((2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 2), (2, 3), (1, 2, 2), (1, 1, 1, 2))

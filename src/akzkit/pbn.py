@@ -19,12 +19,13 @@ from fractions import Fraction
 from .exact_series import (
     TruncatedSeries,
     compose_one_minus_exp,
+    exact_power,
     mpl_coeffs,
     negative_mpl,
     one_minus_exp,
     stirling2,
 )
-from .index_algebra import compositions
+from .index_algebra import indices_up_to_weight, require_int, require_integer_index
 from .reports import (
     SKIPPED_BAD_PRIME,
     Stopwatch,
@@ -56,19 +57,6 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _require_int_tuple(index: tuple[int, ...]) -> None:
-    if not isinstance(index, tuple) or not index:
-        raise ValueError(f"index must be a nonempty tuple, got {index!r}")
-    for part in index:
-        if not isinstance(part, int) or isinstance(part, bool):
-            raise ValueError(f"index entries must be integers, got {part!r}")
-
-
-def _power(m: int, e: int) -> Fraction:
-    # m^e for any integer e.
-    return Fraction(m**e) if e >= 0 else Fraction(1, m ** (-e))
-
-
 @dataclass(frozen=True)
 class DirichletPolynomial:
     """A finite sum c_1*1^(-s) + c_2*2^(-s) + ... with rational c_m.
@@ -91,7 +79,7 @@ class DirichletPolynomial:
         return cls(tuple(cleaned))
 
     def evaluate_exact(self, k: int) -> Fraction:
-        return sum((c * _power(m, -k) for m, c in self.terms), _ZERO)
+        return sum((c * exact_power(m, -k) for m, c in self.terms), _ZERO)
 
     def evaluate_real(self, s):
         import mpmath
@@ -118,20 +106,23 @@ class DirichletPolynomial:
 
 
 _CAP_STEP = 40
-_gf_cache: dict[tuple[tuple[int, ...], str, int], TruncatedSeries] = {}
+_gf_cache: dict[tuple[tuple[int, ...], str], TruncatedSeries] = {}
 
 
 def _gf_series(index: tuple[int, ...], kind: str, n_needed: int) -> TruncatedSeries:
-    """Exponential generating series of the chosen family, through t^n_needed.
+    """Exponential generating series of the chosen family, through at
+    least t^n_needed.
 
-    Caps are rounded up to multiples of a fixed step so nearby requests
-    share one cached division.
+    One series is cached per (index, kind) and serves every n its cap
+    covers.  A request beyond it rebuilds at n_needed rounded up to the
+    next multiple of a fixed step, so nearby requests share one division.
+    Coefficient n does not depend on the cap, so values never change.
     """
-    cap = _CAP_STEP * (n_needed // _CAP_STEP + 1)
-    key = (index, kind, cap)
+    key = (index, kind)
     cached = _gf_cache.get(key)
-    if cached is not None:
+    if cached is not None and cached.cap >= n_needed:
         return cached
+    cap = _CAP_STEP * (n_needed // _CAP_STEP + 1)
     numer = compose_one_minus_exp(mpl_coeffs(index, cap), -1, cap)
     if kind == "B":
         denom = one_minus_exp(-1, cap)
@@ -147,9 +138,8 @@ def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
     arbitrary integers."""
     if kind not in ("B", "C"):
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    _require_int_tuple(index)
+    require_int(n, "n", 0)
+    index = require_integer_index(index)
     return _gf_series(index, kind, n).coefficient(n) * math.factorial(n)
 
 
@@ -178,7 +168,7 @@ def poly_bernoulli_B_stirling(n: int, k: int) -> Fraction:
     for m in range(n + 1):
         s = stirling2(n, m)
         if s:
-            total += (-1) ** (n + m) * math.factorial(m) * s * _power(m + 1, -k)
+            total += (-1) ** (n + m) * math.factorial(m) * s * exact_power(m + 1, -k)
     return total
 
 
@@ -189,7 +179,7 @@ def poly_bernoulli_C_stirling(n: int, k: int) -> Fraction:
     for m in range(1, n + 2):
         s = stirling2(n + 1, m)
         if s:
-            total += (-1) ** (n + m + 1) * math.factorial(m - 1) * s * _power(m, -k)
+            total += (-1) ** (n + m + 1) * math.factorial(m - 1) * s * exact_power(m, -k)
     return total
 
 
@@ -204,7 +194,7 @@ def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fra
     """
     if kind not in ("B", "C"):
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
-    _require_int_tuple(index)
+    index = require_integer_index(index)
     r = len(index)
     total = _ZERO
     for ms in itertools.combinations(range(1, n + 2), r):
@@ -214,7 +204,7 @@ def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fra
             continue
         term = Fraction((-1) ** (n + top + 1) * math.factorial(top - 1) * s)
         for m, e in zip(ms, index):
-            term *= _power(m, -e)
+            term *= exact_power(m, -e)
         total += term
     return total
 
@@ -444,7 +434,7 @@ def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[Verific
 def finite_mzv_mod_p(index: tuple[int, ...], p: int) -> int:
     """sum over 0 < m_1 < ... < m_r < p of prod m_i^(-k_i), as a residue
     mod the prime p."""
-    _require_int_tuple(index)
+    index = require_integer_index(index)
     if p < 2:
         raise ValueError(f"p must be a prime, got {p}")
     total = 0
@@ -462,14 +452,9 @@ def congruence_check(
     """The truncated sum mod p equals -C_{p-2} at the index with its last
     entry lowered by one.  Indices with a denominator divisible by p are
     reported as skipped."""
-    indices = []
-    for w in range(1, max_weight + 1):
-        for r in range(1, w + 1):
-            # compositions() hands back nonnegative parts; shift to parts >= 1.
-            indices += [tuple(part + 1 for part in c) for c in compositions(w - r, r)]
     out = []
     for p in primes:
-        for index in sorted(set(indices)):
+        for index in indices_up_to_weight(max_weight):
             watch = Stopwatch()
             lowered = index[:-1] + (index[-1] - 1,)
             rhs_value = multi_poly_bernoulli(p - 2, lowered, "C")

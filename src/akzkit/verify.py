@@ -1,13 +1,11 @@
 """One entry point that runs every identity check in the package.
 
-The task list is deterministic, so two runs with the same settings
-produce reports in the same order even when split over worker threads.
-Results are merged in submission order, not completion order.
+The task list is deterministic and runs in order, so two runs with the
+same settings produce reports in the same order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from . import ak_zeta, level2, pbn
@@ -81,11 +79,12 @@ def verify_all(
 ) -> list[VerificationReport]:
     """Run the whole battery and return the reports in task order.
 
-    `jobs` > 1 fans the task groups out over threads; the numeric kernels
-    either release the GIL (the vectorized direct sums) or spend their
-    time in mpmath, so modest speedups are real.  `inject_perturbation`
-    flips the deliberate-fault switch for the duration of the run so a
-    caller can confirm the checks have teeth.
+    Tasks run one after another whatever `jobs` says (it must still be at
+    least 1): they spend their time in mpmath and Fraction arithmetic,
+    which hold the interpreter lock, and a thread pool measured no faster
+    than a serial run.  `inject_perturbation` flips the deliberate-fault
+    switch for the duration of the run so a caller can confirm the checks
+    have teeth.
     """
     if prec_bits is not None:
         configure(prec_bits)
@@ -93,16 +92,10 @@ def verify_all(
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     tasks = default_tasks(tolerance=tolerance, max_weight=max_weight)
     set_perturbation(inject_perturbation)
+    merged: list[VerificationReport] = []
     try:
-        if jobs == 1:
-            groups = [fn() for _, fn in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(fn) for _, fn in tasks]
-                groups = [f.result() for f in futures]
+        for _, fn in tasks:
+            merged.extend(fn())
     finally:
         set_perturbation(False)
-    merged: list[VerificationReport] = []
-    for reports in groups:
-        merged.extend(reports)
     return merged

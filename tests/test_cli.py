@@ -2,7 +2,11 @@
 
 import doctest
 import json
+import os
+import subprocess
+import sys
 
+import mpmath
 import pytest
 
 import akzkit.ak_zeta
@@ -13,7 +17,8 @@ import akzkit.level2
 import akzkit.mzv_numeric
 import akzkit.pbn
 import akzkit.reports
-from akzkit.cli import parse_index, run_command
+from akzkit.cli import certified_digits, parse_index, run_command
+from akzkit.mzv_numeric import mzv
 
 
 @pytest.mark.parametrize(
@@ -74,6 +79,52 @@ def test_xi_value_output(capsys):
 def test_mzv_value_output(capsys):
     assert run_command(["mzv", "--index", "1,2", "--digits", "20"]) == 0
     assert capsys.readouterr().out.strip().startswith("1.2020569031595942")
+
+
+def _assert_printed_digits_are_right(text: str, true_value, asked: int) -> int:
+    # Every printed digit is right: the printed number is within one unit
+    # in its last place of the true value.  Returns how many were printed.
+    mantissa = text.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+    printed = len(mantissa)
+    assert 1 <= printed < asked
+    with mpmath.workprec(600):
+        got = mpmath.mpf(text)
+        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(got))) + 1 - printed)
+        assert abs(got - true_value) <= unit, (text, printed)
+    return printed
+
+
+def test_mzv_prints_only_the_digits_its_bound_certifies(capsys):
+    assert run_command(["mzv", "--index", "1,2", "--digits", "120"]) == 0
+    captured = capsys.readouterr()
+    with mpmath.workprec(600):
+        zeta3 = mpmath.zeta(3)
+    printed = _assert_printed_digits_are_right(captured.out.strip(), zeta3, 120)
+    assert printed == certified_digits(mzv((1, 2)))
+    assert "certifies" in captured.err
+
+
+def test_low_precision_prints_only_certified_digits():
+    # Precision locks once per process, so the 64-bit run gets its own.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.cli.__file__)))
+    argv = ["--prec-bits", "64", "mzv", "--index", "1,2", "--digits", "40"]
+    done = subprocess.run(
+        [sys.executable, "-m", "akzkit.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with mpmath.workprec(600):
+        zeta3 = mpmath.zeta(3)
+    _assert_printed_digits_are_right(done.stdout.strip(), zeta3, 40)
+
+
+@pytest.mark.parametrize("digits", ["0", "-3", "x"])
+def test_digits_below_one_is_a_usage_error(digits, capsys):
+    assert run_command(["mzv", "--index", "1,2", "--digits", digits]) == 2
+    assert "--digits" in capsys.readouterr().err
 
 
 def test_psi_value_output(capsys):

@@ -11,10 +11,12 @@ from akzkit.index_algebra import (
     compositions,
     depth,
     dual,
+    indices_up_to_weight,
     is_admissible,
     plus_one,
     refinements,
     require_index,
+    require_int,
     weight,
 )
 
@@ -120,3 +122,17 @@ def test_b_coefficient_matches_the_binomial_product():
 def test_require_index_rejects_malformed_input(bad):
     with pytest.raises((ValueError, TypeError)):
         require_index(bad)
+
+
+def test_indices_up_to_weight_lists_each_index_once_in_order():
+    got = indices_up_to_weight(6)
+    assert got == sorted(set(got))
+    for w in range(1, 7):
+        assert sum(1 for k in got if weight(k) == w) == 2 ** (w - 1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "3", None, 0])
+def test_require_int_names_the_argument(bad):
+    with pytest.raises(ValueError, match="^depth must be an integer >= 1"):
+        require_int(bad, "depth", 1)
+    assert require_int(-4, "depth") == -4

@@ -1,10 +1,14 @@
 """Parity-level analogues: series structure, psi routes, quadrature."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import akzkit
 from akzkit.level2 import (
     ath_coeffs,
     ath_series_identities,
@@ -122,3 +126,23 @@ def test_odd_depth_one_value_directly():
     want = zeta(3).scale(Fraction(7, 8))
     assert _agree(got, want)
     assert abs(t0_value((2,)).value - mpmath.pi**2 / 8) < 1e-60
+
+
+def test_quadrature_first_in_a_fresh_process_keeps_the_configured_precision():
+    # mpmath.quad saves and restores mpmath's precision around the
+    # integrand, so the quadrature must pin the configured precision first.
+    script = (
+        "import mpmath\n"
+        "from akzkit import current_precision\n"
+        "from akzkit.level2 import psi_at_positive, psi_depth1_integral\n"
+        "got = psi_depth1_integral(2, 1, maxdegree=3)\n"
+        "assert mpmath.mp.prec == current_precision(), (mpmath.mp.prec, current_precision())\n"
+        "want = psi_at_positive(1, 2, 1)\n"
+        "assert abs(got.value - want.value) <= got.error_bound + want.error_bound\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,12 +1,14 @@
 """Numeric evaluation with error bounds: zeta values, parity-restricted
 sums, the polylogarithm near 1, and the deliberate-fault switch."""
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akzkit import mzv_numeric
 from akzkit.index_algebra import dual
 from akzkit.mzv_numeric import (
     EvalResult,
@@ -156,6 +158,16 @@ def test_bernoulli_values():
     assert zeta_nonpositive(-1) == Fraction(-1, 12)
     assert zeta_nonpositive(-2) == 0
     assert zeta_nonpositive(-3) == Fraction(1, 120)
+
+
+def test_bernoulli_numbers_in_any_order_match_mpmath(monkeypatch):
+    # Start from an empty table so that each request may grow it.
+    monkeypatch.setattr(mzv_numeric, "_bernoulli_table", [Fraction(1)])
+    order = list(range(90))
+    random.Random(7).shuffle(order)
+    for n in order:
+        assert bernoulli_number(n) == Fraction(*mpmath.bernfrac(n)), n
+    assert bernoulli_number(1) == Fraction(-1, 2)
 
 
 def test_result_arithmetic_propagates_bounds():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from akzkit import pbn
 from akzkit.mzv_numeric import bernoulli_number
 from akzkit.pbn import (
     B_symbolic,
@@ -136,3 +137,15 @@ def test_rejects_garbage_indices():
         multi_poly_bernoulli(3, (1,), "Q")
     with pytest.raises((ValueError, TypeError)):
         poly_bernoulli_B(-1, 2)
+
+
+def test_smaller_n_is_served_from_the_cached_series(monkeypatch):
+    index = (3, -2, 1)
+    high = multi_poly_bernoulli(100, index, "C")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the generating series was built again")
+
+    monkeypatch.setattr(pbn, "compose_one_minus_exp", no_build)
+    assert multi_poly_bernoulli(5, index, "C") == multi_poly_bernoulli_brute(5, index, "C")
+    assert multi_poly_bernoulli(100, index, "C") == high
