@@ -216,25 +216,29 @@ def xi_explicit_family(index, m: int) -> EvalResult:
 # Low-accuracy series oracles built from harmonic iterates.
 
 
-_g_table_cache: dict[tuple[int, int], list] = {}
+# One list G_0, G_1, ... per cutoff, as long as any caller has asked.  A
+# longer list replaces a shorter one whole, so that a concurrent reader
+# never sees a list that is only partly grown.
+_g_table_cache: dict[int, list] = {}
 
 
 def _g_tables(max_order: int, cutoff: int) -> list:
-    """Arrays G_0, ..., G_max with G_j[c] = sum_{a <= c} G_(j-1)[a] / a
-    and G_0 = 1 (index 0 unused)."""
+    """Arrays G_0, ..., G_max (or more) with
+    G_j[c] = sum_{a <= c} G_(j-1)[a] / a and G_0 = 1 (index 0 unused)."""
     import numpy as np
 
-    key = (max_order, cutoff)
-    hit = _g_table_cache.get(key)
-    if hit is not None:
-        return hit
+    tables = _g_table_cache.get(cutoff)
+    if tables is None:
+        tables = [np.ones(cutoff + 1)]
+        tables[0][0] = 0.0
+    elif len(tables) > max_order:
+        return tables
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    tables = [np.ones(cutoff + 1)]
-    tables[0][0] = 0.0
-    for _ in range(max_order):
+    tables = list(tables)
+    while len(tables) <= max_order:
         tables.append(np.cumsum(tables[-1] * inv))
-    _g_table_cache[key] = tables
+    _g_table_cache[cutoff] = tables
     return tables
 
 
@@ -435,7 +439,6 @@ def eta_threeway_check(
         watch = Stopwatch()
         a = eta_at_positive((k,), n)
         b = eta_at_positive((n,), k)
-        oracle = eta_symmetric_oracle(k, n, cutoff)
         out.append(
             report_numeric(
                 "akzeta.eta-value-threeway",
@@ -447,6 +450,7 @@ def eta_threeway_check(
             )
         )
         watch = Stopwatch()
+        oracle = eta_symmetric_oracle(k, n, cutoff)
         out.append(
             report_numeric(
                 "akzeta.eta-value-threeway",
@@ -499,15 +503,10 @@ def xi_depth1_enumeration_check(
     out = []
     for k in range(1, max_k + 1):
         for m in range(1, max_m + 1):
-            xi_pieces = []
-            eta_pieces = []
-            for comp in compositions(m, k):
-                j = tuple(c + 1 for c in comp)
-                if j[-1] < 2:
-                    continue
-                xi_pieces.append(mzv(j).scale(j[-1] - 1))
-                eta_pieces.append(mzsv(j).scale(j[-1] - 1))
+            indices = [tuple(c + 1 for c in comp) for comp in compositions(m, k)]
+            indices = [j for j in indices if j[-1] >= 2]
             watch = Stopwatch()
+            xi_pieces = [mzv(j).scale(j[-1] - 1) for j in indices]
             out.append(
                 report_numeric(
                     "akzeta.xi-depth1-enumeration",
@@ -519,6 +518,7 @@ def xi_depth1_enumeration_check(
                 )
             )
             watch = Stopwatch()
+            eta_pieces = [mzsv(j).scale(j[-1] - 1) for j in indices]
             out.append(
                 report_numeric(
                     "akzeta.eta-depth1-enumeration",

@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inject-perturbation",
         action="store_true",
-        help="deliberately skew one cached value to prove the checks can fail",
+        help="deliberately nudge one value, not its cache, to prove the checks can fail",
     )
     p.set_defaults(func=_cmd_verify_all)
 

@@ -27,7 +27,6 @@ from .index_algebra import compositions, indices_up_to_weight, require_index, re
 from .mzv_numeric import (
     EvalResult,
     PoleError,
-    _activate,
     polylog_near_one,
     sum_results,
     t0_value,
@@ -356,14 +355,20 @@ def psi_depth1_integral(k: int, s: int, upper: float = 60.0, maxdegree: int = 8)
     Below the split the level-two series converges fast in tanh(t/2);
     above it the integrand is rebuilt from the polylogarithm near 1 via
     u = 2 arctanh(e^(-t)), which avoids cancellation for large t.  The
-    quadrature contributes its own error estimate (taken with a safety
-    factor of ten); the discarded range beyond `upper` is covered by an
-    explicit incomplete-gamma bound.
+    discarded range beyond `upper` is covered by an explicit
+    incomplete-gamma bound.
+
+    The rest of the error bound is not rigorous.  It is mpmath's own
+    tanh-sinh error estimate, taken with a safety factor of ten, plus a
+    flat 1e-40 that stands in for the series truncation below the split
+    and for the error bounds of the polylogarithm values above it, which
+    are dropped.
     """
     require_int(k, "k", 2)
     require_int(s, "s", 1)
-    # Pin the configured precision before mpmath.quad saves and restores it.
-    _activate()
+    # The tail bound needs zeta(k).  Evaluating it before either quad also
+    # pins the configured precision, which mpmath.quad saves and restores.
+    zk = zeta(k)
     cap = 140
     series = [mpmath.mpf(c.numerator) / c.denominator for c in ath_coeffs((k,), cap).coeffs]
     gamma_s = math.factorial(s - 1)
@@ -383,7 +388,6 @@ def psi_depth1_integral(k: int, s: int, upper: float = 60.0, maxdegree: int = 8)
 
     v1, e1 = mpmath.quad(low, [0, 1], error=True, maxdegree=maxdegree)
     v2, e2 = mpmath.quad(high, [1, upper], error=True, maxdegree=maxdegree)
-    zk = zeta(k)
     tail = (
         4
         * zk.value

@@ -14,8 +14,10 @@ a = 2 at level two; the level-two form introduces the parity pattern
 m_i = i mod 2 in the underlying sums.  Both levels share one engine.
 
 Precision is global and meant to be configured once, before evaluation
-begins; after the first evaluation it is locked.  All caches are plain
-dicts populated under the interpreter lock, and cached objects are
+begins; after the first evaluation it is locked, so no cache key needs to
+name it.  Two caches keep what is asked for again: the value of each word
+integral at its point and cap, and each path-split result.  Both are
+plain dicts populated under the interpreter lock, and cached objects are
 immutable, so concurrent readers are safe.
 """
 
@@ -25,7 +27,6 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any
 
 import mpmath
@@ -47,7 +48,6 @@ __all__ = [
     "configure",
     "current_precision",
     "set_perturbation",
-    "perturbation_enabled",
     "zeta",
     "mzv",
     "mzsv",
@@ -73,7 +73,6 @@ _DEFAULT_PREC = 256
 _state = {"prec": _DEFAULT_PREC, "locked": False, "perturb": False}
 _state_lock = threading.Lock()
 
-_series_cache: dict[tuple, tuple] = {}
 _value_cache: dict[tuple, tuple] = {}
 _result_cache: dict[tuple, "EvalResult"] = {}
 
@@ -108,10 +107,6 @@ def set_perturbation(enabled: bool) -> None:
     can fail).  Cached clean values stay clean; the nudge is applied on
     the way out."""
     _state["perturb"] = bool(enabled)
-
-
-def perturbation_enabled() -> bool:
-    return _state["perturb"]
 
 
 def _mpf(x: Any):
@@ -185,10 +180,6 @@ def _word(parts: tuple[int, ...], letter: int) -> tuple[int, ...]:
 def _tail_series(word: tuple[int, ...], cap: int) -> tuple:
     """Taylor coefficients (as mpf, indices 0..cap) of the iterated
     integral along the word, innermost form last."""
-    key = (word, cap, _state["prec"])
-    hit = _series_cache.get(key)
-    if hit is not None:
-        return hit
     coeffs = [mpmath.mpf(0)] * (cap + 1)
     coeffs[0] = mpmath.mpf(1)
     for sym in reversed(word):
@@ -206,9 +197,7 @@ def _tail_series(word: tuple[int, ...], cap: int) -> tuple:
                     running += coeffs[n - 1]
                     nxt[n] = running / n
             coeffs = nxt
-    result = tuple(coeffs)
-    _series_cache[key] = result
-    return result
+    return tuple(coeffs)
 
 
 def _series_cap_for(z, ones: int) -> int:
@@ -226,7 +215,7 @@ def _word_value(word: tuple[int, ...], z) -> tuple:
         return (mpmath.mpf(1), mpmath.mpf(0))
     ones = sum(1 for s in word if s != 0)
     cap = _series_cap_for(z, ones)
-    key = (word, str(z), cap, _state["prec"])
+    key = (word, str(z), cap)
     hit = _value_cache.get(key)
     if hit is not None:
         return hit
@@ -244,7 +233,7 @@ def _word_value(word: tuple[int, ...], z) -> tuple:
     return out
 
 
-def _path_split(parts: tuple[int, ...], letter: int, point) -> EvalResult:
+def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
     """The word integral of the index from 0 to 1, split at the fixed
     point of the involution that swaps dt/t with dt/(1-t^letter):
     t -> 1-t at level one (point 1/2), t -> (1-t)/(1+t) at level two
@@ -253,11 +242,12 @@ def _path_split(parts: tuple[int, ...], letter: int, point) -> EvalResult:
     convolution of rapidly converging pieces (Borwein, Bradley,
     Broadhurst and Lisonek, "Special values of multiple polylogarithms",
     2001)."""
-    key = (letter, parts, _state["prec"])
+    key = (letter, parts)
     hit = _result_cache.get(key)
     if hit is not None:
         return hit
     word = _word(parts, letter)
+    point = mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
     total = mpmath.mpf(0)
     bound = mpmath.mpf(0)
     # The level-two involution carries dt/t to 2 dt/(1-t^2) and
@@ -294,7 +284,7 @@ def mzv(k) -> EvalResult:
     """
     _activate()
     parts = _require_admissible(k)
-    res = _path_split(parts, 1, mpmath.mpf(1) / 2)
+    res = _path_split(parts, 1)
     if _state["perturb"] and parts == (1, 2):
         return EvalResult(res.value * (1 + mpmath.mpf("1e-6")), res.error_bound, res.method + "+nudge")
     return res
@@ -336,18 +326,12 @@ def mpl_numeric(k, z) -> EvalResult:
 # Level two: T values via the involution t -> (1-t)/(1+t).
 
 
-@lru_cache(maxsize=4)
-def _special_point(prec: int):
-    with mpmath.workprec(prec):
-        return mpmath.sqrt(2) - 1
-
-
 def t0_value(k) -> EvalResult:
     """The parity-restricted zeta value: the defining sum runs over
     0 < m_1 < ... < m_r with m_i = i mod 2."""
     _activate()
     parts = _require_admissible(k)
-    return _path_split(parts, 2, _special_point(_state["prec"]))
+    return _path_split(parts, 2)
 
 
 def t_value(k) -> EvalResult:

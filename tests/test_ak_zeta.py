@@ -2,10 +2,13 @@
 identity batteries at reduced ranges (full ranges run in the acceptance
 suite)."""
 
+import time
 from fractions import Fraction
 
+import numpy
 import pytest
 
+from akzkit import ak_zeta
 from akzkit.ak_zeta import (
     display_identities_check,
     eta_at_positive,
@@ -145,3 +148,55 @@ def test_symmetric_value_spot_check():
     target = zeta(3).scale(2)
     assert _agree(a, target)
     assert _agree(b, target)
+
+
+_SLEEP = 0.5
+
+
+def test_threeway_charges_the_series_oracle_to_the_series_row(monkeypatch):
+    oracle = ak_zeta.eta_symmetric_oracle
+
+    def slow_oracle(k, n, cutoff):
+        time.sleep(_SLEEP)
+        return oracle(k, n, cutoff)
+
+    monkeypatch.setattr(ak_zeta, "eta_symmetric_oracle", slow_oracle)
+    swapped, series = eta_threeway_check(pairs=((1, 1),), cutoff=10_000)
+    assert swapped.parameters["legs"] == "star-combination-vs-swapped"
+    assert series.parameters["legs"] == "star-combination-vs-series"
+    assert swapped.elapsed_seconds < _SLEEP <= series.elapsed_seconds
+
+
+def test_depth1_enumeration_charges_each_side_to_its_own_row(monkeypatch):
+    # Both sides of the eta row call mzsv; every call belongs to that row.
+    mzsv = ak_zeta.mzsv
+    calls = []
+
+    def slow_mzsv(k):
+        calls.append(k)
+        time.sleep(_SLEEP)
+        return mzsv(k)
+
+    monkeypatch.setattr(ak_zeta, "mzsv", slow_mzsv)
+    xi_row, eta_row = xi_depth1_enumeration_check(max_k=1, max_m=1)
+    assert xi_row.identity_id == "akzeta.xi-depth1-enumeration"
+    assert eta_row.identity_id == "akzeta.eta-depth1-enumeration"
+    assert len(calls) == 2
+    assert xi_row.elapsed_seconds < _SLEEP
+    assert eta_row.elapsed_seconds >= len(calls) * _SLEEP
+
+
+def test_harmonic_tables_serve_every_order_from_one_list(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a harmonic table was built again")
+
+    monkeypatch.setattr(ak_zeta, "_g_table_cache", {})
+    high = ak_zeta._g_tables(3, 1000)
+    with monkeypatch.context() as patch:
+        patch.setattr(numpy, "cumsum", no_build)
+        low = ak_zeta._g_tables(1, 1000)
+    assert all(a is b for a, b in zip(low, high))
+    # Growing publishes a new list and leaves the one handed out whole.
+    higher = ak_zeta._g_tables(4, 1000)
+    assert all(a is b for a, b in zip(higher, high))
+    assert (len(high), len(higher)) == (4, 5)
