@@ -15,8 +15,10 @@ m_i = i mod 2 in the underlying sums.  Both levels share one engine.
 
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
-name it.  Two caches keep what is asked for again: the value of each word
-integral at its point and cap, and each path-split result.  Both are
+name it.  Three caches keep what is asked for again: the value of each word
+integral at its point and cap, each path-split result, and, per k, the
+u-independent coefficients of polylog_near_one.  The last is keyed on k
+alone for the same reason: every entry is built after the lock.  All are
 plain dicts populated under the interpreter lock, and cached objects are
 immutable, so concurrent readers are safe.
 """
@@ -314,7 +316,7 @@ def mpl_numeric(k, z) -> EvalResult:
     _activate()
     parts = require_index(k)
     zv = _mpf(z)
-    if abs(zv) > mpmath.mpf("0.95"):
+    if not abs(zv) <= mpmath.mpf("0.95"):
         raise ValueError("evaluation point must satisfy |z| <= 0.95")
     if zv == 0:
         return exact_result(0, "series")
@@ -454,51 +456,90 @@ def zeta_nonpositive(n: int) -> Fraction:
     return -bernoulli_number(m + 1) / (m + 1)
 
 
+@dataclass(frozen=True)
+class _NearOneTable:
+    """The u-independent parts of polylog_near_one for one k."""
+
+    coeffs: tuple  # (-1)^j zeta(k-j)/j! for j = 0..j_top, 0 at j = k-1
+    coeff_bounds: tuple  # error bounds of coeffs[j], j = 0..k-2
+    harmonic: Any  # H_(k-1)
+    inv_powers: tuple  # 1/n^k for n = 1, 2, ... as far as u = 1 needs
+
+
+# Keyed on k alone: the precision is locked before the first evaluation.
+_near_one_tables: dict[int, _NearOneTable] = {}
+
+
+def _exp_series_terms(uv) -> int:
+    # Terms of sum q^n/n^k, q = e^(-u), until q^n falls below precision.
+    return int((_state["prec"] + 16) * math.log(2) / float(uv)) + 2
+
+
+def _near_one_table(k: int) -> _NearOneTable:
+    hit = _near_one_tables.get(k)
+    if hit is not None:
+        return hit
+    j_top = _state["prec"] // 2 + 48
+    coeffs = []
+    bounds = []
+    for j in range(j_top + 1):
+        if k - j >= 2:
+            zr = mzv((k - j,))
+            coeffs.append((-1) ** j * zr.value / math.factorial(j))
+            bounds.append(zr.error_bound / math.factorial(j))
+        elif j == k - 1:
+            coeffs.append(mpmath.mpf(0))
+        else:
+            coeffs.append(_mpf((-1) ** j * zeta_nonpositive(k - j) / math.factorial(j)))
+    table = _NearOneTable(
+        coeffs=tuple(coeffs),
+        coeff_bounds=tuple(bounds),
+        harmonic=_mpf(sum(Fraction(1, i) for i in range(1, k))),
+        inv_powers=tuple(1 / mpmath.mpf(n) ** k for n in range(1, _exp_series_terms(1) + 1)),
+    )
+    _near_one_tables[k] = table
+    return table
+
+
 def polylog_near_one(k: int, u) -> EvalResult:
     """Li_k(e^(-u)) for integer k >= 2 and u > 0.
 
-    For u >= 1 the defining series converges fast.  Below 1 the series in
-    u is used instead: a single logarithmic term
-    (-u)^(k-1)/(k-1)! (H_(k-1) - ln u) plus sum_j zeta(k-j) (-u)^j / j!
-    over j != k-1, with exact values at nonpositive integers.  The two
-    branches agree at the seam, which tests pin down.
+    For u >= 1 the defining series sum q^n/n^k, q = e^(-u), converges
+    fast.  Below 1 the series in u is used instead: a single logarithmic
+    term (-u)^(k-1)/(k-1)! (H_(k-1) - ln u) plus sum_j zeta(k-j) (-u)^j / j!
+    over j != k-1, with exact values at nonpositive integers (DLMF 25.12).
+    The two branches agree at the seam, which tests pin down.
+
+    Everything that does not depend on u (the coefficients zeta(k-j)/j!
+    and their bounds, H_(k-1), and the 1/n^k) is computed once per k, on
+    the first call; each call then evaluates its sums by Horner's rule.
     """
     _activate()
     require_int(k, "k", 2)
     uv = _mpf(u)
-    if uv <= 0:
+    if not uv > 0:
         raise ValueError("u must be positive")
+    table = _near_one_table(k)
     if uv >= 1:
-        n_terms = int((_state["prec"] + 16) * math.log(2) / float(uv)) + 2
+        n_terms = _exp_series_terms(uv)
         q = mpmath.e ** (-uv)
-        qn = mpmath.mpf(1)
         total = mpmath.mpf(0)
-        for n in range(1, n_terms + 1):
-            qn *= q
-            total += qn / mpmath.mpf(n) ** k
-        tail = qn * q / (1 - q)
+        for inv in reversed(table.inv_powers[:n_terms]):
+            total = (total + inv) * q
+        tail = q ** (n_terms + 1) / (1 - q)
         return EvalResult(total, tail + _smear(total), "exponential-series")
 
-    j_top = _state["prec"] // 2 + 48
-    harmonic = sum(Fraction(1, i) for i in range(1, k))
-    log_term = (-uv) ** (k - 1) / math.factorial(k - 1) * (_mpf(harmonic) - mpmath.log(uv))
-    total = log_term
+    total = mpmath.mpf(0)
+    for c in reversed(table.coeffs):
+        total = total * uv + c
+    total += (-uv) ** (k - 1) / math.factorial(k - 1) * (table.harmonic - mpmath.log(uv))
     bound = mpmath.mpf(0)
-    for j in range(j_top + 1):
-        if j == k - 1:
-            continue
-        if k - j >= 2:
-            zr = mzv((k - j,))
-            zval, zerr = zr.value, zr.error_bound
-        else:
-            zq = zeta_nonpositive(k - j)
-            zval, zerr = _mpf(zq), mpmath.mpf(0)
-        term = zval * (-uv) ** j / math.factorial(j)
-        total += term
-        bound += zerr * uv**j / math.factorial(j)
+    for b in reversed(table.coeff_bounds):
+        bound = bound * uv + b
     # Remaining terms involve zeta at negative integers; via the Bernoulli
     # growth rate |zeta(-m)| <= 4 m! / (2 pi)^(m+1) they are dominated by
     # a geometric series in u/(2 pi).
+    j_top = len(table.coeffs) - 1
     ratio = uv / (2 * mpmath.pi)
     tail = 4 / (2 * mpmath.pi) * uv**k * ratio ** (j_top + 1 - k) / (1 - ratio)
     return EvalResult(total, bound + tail + _smear(total), "near-one-expansion")

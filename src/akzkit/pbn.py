@@ -81,14 +81,6 @@ class DirichletPolynomial:
     def evaluate_exact(self, k: int) -> Fraction:
         return sum((c * exact_power(m, -k) for m, c in self.terms), _ZERO)
 
-    def evaluate_real(self, s):
-        import mpmath
-
-        total = mpmath.mpf(0)
-        for m, c in self.terms:
-            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.power(m, -s)
-        return total
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

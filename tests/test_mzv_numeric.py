@@ -127,19 +127,42 @@ def test_divergent_inputs_raise_pole_error(call):
 
 
 def test_polylog_near_one_series_side():
-    for u in (0.05, 0.4, 0.999):
-        for k in (2, 3, 5):
+    for u in (1e-6, 0.05, 0.4, 0.999, 0.999999):
+        for k in (2, 3, 4, 5):
             got = polylog_near_one(k, mpmath.mpf(u))
             ref = mpmath.polylog(k, mpmath.e ** mpmath.mpf(-u))
             assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -180
 
 
 def test_polylog_near_one_exponential_side():
-    for u in (1.0001, 2.0, 8.0):
-        for k in (2, 3, 5):
+    for u in (1.0, 1.0001, 2.0, 8.0):
+        for k in (2, 3, 4, 5):
             got = polylog_near_one(k, mpmath.mpf(u))
             ref = mpmath.polylog(k, mpmath.e ** mpmath.mpf(-u))
             assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -180
+
+
+def test_polylog_near_one_builds_its_table_once_per_k(monkeypatch):
+    monkeypatch.setattr(mzv_numeric, "_near_one_tables", {})
+    polylog_near_one(4, mpmath.mpf("0.5"))
+
+    def forbidden(*args):
+        raise AssertionError("the coefficient table was rebuilt")
+
+    monkeypatch.setattr(mzv_numeric, "mzv", forbidden)
+    monkeypatch.setattr(mzv_numeric, "zeta_nonpositive", forbidden)
+    for u in ("0.01", "0.77", "1.3", "5"):
+        got = polylog_near_one(4, mpmath.mpf(u))
+        ref = mpmath.polylog(4, mpmath.e ** -mpmath.mpf(u))
+        assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -180
+    assert list(mzv_numeric._near_one_tables) == [4]
+
+
+def test_nan_arguments_raise_value_error():
+    with pytest.raises(ValueError, match="u must be positive"):
+        polylog_near_one(2, float("nan"))
+    with pytest.raises(ValueError, match=r"\|z\| <= 0.95"):
+        mpl_numeric((2,), float("nan"))
 
 
 def test_small_polylog_values():
