@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .index_algebra import compositions, require_signed_parts
-from .reports import VerificationReport, Stopwatch, report_exact
+from .reports import RowLog, VerificationReport
 
 __all__ = [
     "TruncatedSeries",
@@ -64,13 +64,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.cap:
             raise IndexError(f"coefficient {n} outside known range 0..{self.cap}")
         return self.coeffs[n]
-
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (cap + 1 if all zero)."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return self.cap + 1
 
     def truncate(self, cap: int) -> "TruncatedSeries":
         if cap > self.cap:
@@ -295,14 +288,6 @@ class RationalFunctionRep:
                 out[n] += p * math.comb(n - i + d - 1, d - 1)
         return TruncatedSeries(tuple(out))
 
-    def evaluate(self, z: Fraction) -> Fraction:
-        if z == 1:
-            raise ZeroDivisionError("pole at z = 1")
-        num = _ZERO
-        for p in reversed(self.numerator):
-            num = num * z + p
-        return num / (1 - z) ** self.pole_order
-
 
 def negative_mpl(parts: tuple[int, ...]) -> RationalFunctionRep:
     """Closed form of the multiple polylogarithm with exponents
@@ -319,17 +304,9 @@ def negative_mpl(parts: tuple[int, ...]) -> RationalFunctionRep:
         poly = [_ZERO] + poly
         d += 1
         for _ in range(p):
-            # Apply z*d/dz to poly/(1-z)^d.
-            deriv = [Fraction(n) * poly[n] for n in range(1, len(poly))]
-            termA = [_ZERO] + [deriv[i] - (deriv[i - 1] if i > 0 else _ZERO) for i in range(len(deriv))] + [
-                -deriv[-1] if deriv else _ZERO
-            ]
-            termB = [_ZERO] + [Fraction(d) * c for c in poly]
-            size = max(len(termA), len(termB))
-            poly = [
-                (termA[i] if i < len(termA) else _ZERO) + (termB[i] if i < len(termB) else _ZERO)
-                for i in range(size)
-            ]
+            # z*d/dz of P/(1-z)^d is Q/(1-z)^(d+1), q_n = n p_n + (d-n+1) p_(n-1).
+            pairs = zip(poly + [_ZERO], [_ZERO] + poly)
+            poly = [n * c + (d - n + 1) * prev for n, (c, prev) in enumerate(pairs)]
             d += 1
     return RationalFunctionRep(_poly_trim(poly), d)
 
@@ -343,11 +320,10 @@ def negative_mpl_certificate_check(max_total: int = 10, taylor_cap: int = 25) ->
     exactly z^depth), the numerator is divisible by z^depth, and the
     Taylor expansion agrees with the defining sum through taylor_cap.
     """
-    out: list[VerificationReport] = []
+    log = RowLog()
     for r in range(1, max_total + 1):
         for w in range(0, max_total - r + 1):
             for parts in compositions(w, r):
-                watch = Stopwatch()
                 rep = negative_mpl(parts)
                 problems: list[str] = []
                 if rep.pole_order != w + r:
@@ -365,15 +341,12 @@ def negative_mpl_certificate_check(max_total: int = 10, taylor_cap: int = 25) ->
                 direct = mpl_coeffs(tuple(-p for p in parts), taylor_cap)
                 if taylor.coeffs != direct.coeffs:
                     problems.append(f"Taylor mismatch within degree {taylor_cap}")
-                out.append(
-                    report_exact(
-                        "exact_series.negative-polylog-certificate",
-                        {"exponents": tuple(-p for p in parts)},
-                        lhs="certificate",
-                        rhs="certificate",
-                        equal=not problems,
-                        elapsed=watch.elapsed(),
-                        detail="; ".join(problems) if problems else None,
-                    )
+                log.exact(
+                    "exact_series.negative-polylog-certificate",
+                    {"exponents": tuple(-p for p in parts)},
+                    lhs="certificate",
+                    rhs="certificate",
+                    equal=not problems,
+                    detail="; ".join(problems) if problems else None,
                 )
-    return out
+    return log.rows

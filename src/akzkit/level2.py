@@ -33,14 +33,7 @@ from .mzv_numeric import (
     t_value,
     zeta,
 )
-from .reports import (
-    SKIPPED_POLE,
-    Stopwatch,
-    VerificationReport,
-    report_numeric,
-    report_exact,
-    report_skip,
-)
+from .reports import SKIPPED_POLE, RowLog, VerificationReport
 
 __all__ = [
     "ath_coeffs",
@@ -98,45 +91,36 @@ def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
       the last part exceeds 1 and against dt/(1-t^2) when it equals 1;
     * composing with tanh gives the identity series (arctanh(tanh t) = t).
     """
-    out = []
+    log = RowLog()
     for k in range(1, 9):
-        watch = Stopwatch()
         li = mpl_coeffs((k,), cap)
         squared = [_ZERO] * (cap + 1)
         for n in range(0, cap + 1, 2):
             squared[n] = li.coeffs[n // 2] * Fraction(1, 2**k)
         rhs = li - TruncatedSeries(tuple(squared))
-        out.append(
-            report_exact(
-                "level2.ath-even-part-split",
-                {"k": k, "cap": cap},
-                lhs="ath-coefficients",
-                rhs="li-minus-even-part",
-                equal=ath_coeffs((k,), cap).coeffs == rhs.coeffs,
-                elapsed=watch.elapsed(),
-            )
+        log.exact(
+            "level2.ath-even-part-split",
+            {"k": k, "cap": cap},
+            lhs="ath-coefficients",
+            rhs="li-minus-even-part",
+            equal=ath_coeffs((k,), cap).coeffs == rhs.coeffs,
         )
     for r in range(1, 7):
-        watch = Stopwatch()
         power = TruncatedSeries.from_list([1], cap)
         at = _arctanh_series(cap)
         for _ in range(r):
             power = power * at
         power = power.scale(Fraction(1, math.factorial(r)))
-        out.append(
-            report_exact(
-                "level2.ath-all-ones-power",
-                {"r": r, "cap": cap},
-                lhs="ath-coefficients",
-                rhs="arctanh-power",
-                equal=ath_coeffs((1,) * r, cap).coeffs == power.coeffs,
-                elapsed=watch.elapsed(),
-            )
+        log.exact(
+            "level2.ath-all-ones-power",
+            {"r": r, "cap": cap},
+            lhs="ath-coefficients",
+            rhs="arctanh-power",
+            equal=ath_coeffs((1,) * r, cap).coeffs == power.coeffs,
         )
     for k in indices_up_to_weight(6):
         if len(k) == 1 and k[0] == 1:
             continue
-        watch = Stopwatch()
         series = ath_coeffs(k, cap)
         deriv = series.derivative()
         if k[-1] >= 2:
@@ -149,17 +133,13 @@ def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
             one_minus_sq = TruncatedSeries.from_list([1, 0, -1], cap - 1)
             ok = (deriv * one_minus_sq).coeffs == ath_coeffs(k[:-1], cap - 1).coeffs
             case = "dt/(1-t^2)"
-        out.append(
-            report_exact(
-                "level2.ath-derivative-recursion",
-                {"index": k, "case": case},
-                lhs="derivative",
-                rhs="lowered-index",
-                equal=ok,
-                elapsed=watch.elapsed(),
-            )
+        log.exact(
+            "level2.ath-derivative-recursion",
+            {"index": k, "case": case},
+            lhs="derivative",
+            rhs="lowered-index",
+            equal=ok,
         )
-    watch = Stopwatch()
     small = 24
     sinh = TruncatedSeries.from_list(
         [Fraction(1, math.factorial(n)) if n % 2 == 1 else 0 for n in range(small + 1)]
@@ -170,17 +150,14 @@ def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
     tanh = sinh.divide(cosh)
     composed = _arctanh_series(small).compose(tanh)
     identity = TruncatedSeries.from_list([0, 1], small)
-    out.append(
-        report_exact(
-            "level2.arctanh-tanh-identity",
-            {"cap": small},
-            lhs="arctanh(tanh t)",
-            rhs="t",
-            equal=composed.coeffs == identity.coeffs,
-            elapsed=watch.elapsed(),
-        )
+    log.exact(
+        "level2.arctanh-tanh-identity",
+        {"cap": small},
+        lhs="arctanh(tanh t)",
+        rhs="t",
+        equal=composed.coeffs == identity.coeffs,
     )
-    return out
+    return log.rows
 
 
 def _height_one(r: int, k: int) -> tuple[int, ...]:
@@ -237,54 +214,43 @@ def psi_formula_crosscheck(
     """The two closed expressions for height-one psi against each other.
     Instances whose alternate route hits a divergent T value are reported
     as skipped."""
-    out = []
+    log = RowLog()
     for r in range(1, max_r + 1):
         for k in range(1, max_k + 1):
             for m in m_values:
-                watch = Stopwatch()
                 try:
                     alt = psi_alternating_form(r, k, m)
                 except PoleError as exc:
-                    out.append(
-                        report_skip(
-                            "level2.psi-family-crosscheck",
-                            {"r": r, "k": k, "m": m},
-                            SKIPPED_POLE,
-                            str(exc),
-                            elapsed=watch.elapsed(),
-                        )
-                    )
-                    continue
-                out.append(
-                    report_numeric(
+                    log.skip(
                         "level2.psi-family-crosscheck",
                         {"r": r, "k": k, "m": m},
-                        psi_at_positive(r, k, m),
-                        alt,
-                        tolerance,
-                        elapsed=watch.elapsed(),
+                        SKIPPED_POLE,
+                        str(exc),
                     )
+                    continue
+                log.numeric(
+                    "level2.psi-family-crosscheck",
+                    {"r": r, "k": k, "m": m},
+                    psi_at_positive(r, k, m),
+                    alt,
+                    tolerance,
                 )
-    return out
+    return log.rows
 
 
 def height_one_duality_check(max_rk: int = 4, tolerance: float = 1e-8) -> list[VerificationReport]:
     """T(1^(r-1), k+1) = T(1^(k-1), r+1), the height-one duality."""
-    out = []
+    log = RowLog()
     for r in range(1, max_rk + 1):
         for k in range(r, max_rk + 1):
-            watch = Stopwatch()
-            out.append(
-                report_numeric(
-                    "level2.ht1-duality",
-                    {"r": r, "k": k},
-                    t_value(_height_one(r, k + 1)),
-                    t_value(_height_one(k, r + 1)),
-                    tolerance,
-                    elapsed=watch.elapsed(),
-                )
+            log.numeric(
+                "level2.ht1-duality",
+                {"r": r, "k": k},
+                t_value(_height_one(r, k + 1)),
+                t_value(_height_one(k, r + 1)),
+                tolerance,
             )
-    return out
+    return log.rows
 
 
 def t_binomial_identity_check(
@@ -301,11 +267,10 @@ def t_binomial_identity_check(
 
     plus its depth-two display at k = 2, r = 1 written in the
     parity-restricted values directly."""
-    out = []
+    log = RowLog()
     for m in m_values:
         for r in r_values:
             for k in k_values:
-                watch = Stopwatch()
                 left = []
                 for a in compositions(m, k):
                     idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + r + 1,)
@@ -317,35 +282,28 @@ def t_binomial_identity_check(
                 for j in range(k - 1):
                     prod = t_value((1,) * (r - 1) + (k - j,)) * t_value((1,) * j + (m + 1,))
                     rhs_terms.append(prod.scale((-1) ** j))
-                out.append(
-                    report_numeric(
-                        "level2.t-binomial-symmetry",
-                        {"m": m, "r": r, "k": k},
-                        sum_results(left),
-                        sum_results(rhs_terms),
-                        tolerance,
-                        elapsed=watch.elapsed(),
-                    )
+                log.numeric(
+                    "level2.t-binomial-symmetry",
+                    {"m": m, "r": r, "k": k},
+                    sum_results(left),
+                    sum_results(rhs_terms),
+                    tolerance,
                 )
     for m in m_values:
-        watch = Stopwatch()
         pieces = [
             t0_value((m - a + 1, a + 2)).scale(a + 1) for a in range(m + 1)
         ]
         pieces.append(t0_value((2, m + 1)))
         pieces.append(t0_value((1, m + 2)).scale(m + 1))
         rhs = t0_value((2,)) * t0_value((m + 1,))
-        out.append(
-            report_numeric(
-                "level2.oddeven-display",
-                {"m": m},
-                sum_results(pieces),
-                rhs,
-                tolerance,
-                elapsed=watch.elapsed(),
-            )
+        log.numeric(
+            "level2.oddeven-display",
+            {"m": m},
+            sum_results(pieces),
+            rhs,
+            tolerance,
         )
-    return out
+    return log.rows
 
 
 def psi_depth1_integral(k: int, s: int, upper: float = 60.0, maxdegree: int = 8) -> EvalResult:
@@ -409,21 +367,17 @@ def psi_depth1_integral_check(
 ) -> list[VerificationReport]:
     """Quadrature of the defining integral against the closed T-value
     expression, for depth-one indices."""
-    out = []
+    log = RowLog()
     for k in k_values:
         for s in s_values:
-            watch = Stopwatch()
-            out.append(
-                report_numeric(
-                    "level2.psi-integral-representation",
-                    {"k": k, "s": s},
-                    psi_depth1_integral(k, s),
-                    psi_at_positive(1, k, s),
-                    tolerance,
-                    elapsed=watch.elapsed(),
-                )
+            log.numeric(
+                "level2.psi-integral-representation",
+                {"k": k, "s": s},
+                psi_depth1_integral(k, s),
+                psi_at_positive(1, k, s),
+                tolerance,
             )
-    return out
+    return log.rows
 
 
 def odd_zeta_relation_check(
@@ -431,17 +385,13 @@ def odd_zeta_relation_check(
 ) -> list[VerificationReport]:
     """Depth one of the parity-restricted family is an explicit multiple
     of zeta: the odd-argument sum equals (1 - 2^(-s)) zeta(s)."""
-    out = []
+    log = RowLog()
     for s in s_values:
-        watch = Stopwatch()
-        out.append(
-            report_numeric(
-                "level2.odd-zeta-product",
-                {"s": s},
-                t0_value((s,)),
-                zeta(s).scale(1 - Fraction(1, 2**s)),
-                tolerance,
-                elapsed=watch.elapsed(),
-            )
+        log.numeric(
+            "level2.odd-zeta-product",
+            {"s": s},
+            t0_value((s,)),
+            zeta(s).scale(1 - Fraction(1, 2**s)),
+            tolerance,
         )
-    return out
+    return log.rows

@@ -42,7 +42,7 @@ from .index_algebra import (
     require_int,
     weight,
 )
-from .reports import Stopwatch, report_numeric
+from .reports import RowLog
 
 __all__ = [
     "PoleError",
@@ -361,6 +361,13 @@ def _iterated_log_tail(q: int, power: int, cutoff: int):
     return integral + (g(cutoff) if cutoff >= peak else g(peak))
 
 
+def _float64_rounding(value: float, stages: int, cutoff: int) -> float:
+    """Bound for the rounding in a float64 sum built by `stages` cumulative
+    sums over `cutoff` terms: the relative error of one stage grows
+    linearly in its length, taken with a margin of eight."""
+    return abs(value) * stages * cutoff * 2.3e-16 * 8
+
+
 def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
     """(value, bound) of the nested sum truncated at m_r <= cutoff, in
     float64.  The bound adds the discarded terms to the rounding.
@@ -387,9 +394,7 @@ def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
             mask = (np.arange(cutoff + 1) % 2) == ((i + 1) % 2)
             h = np.where(mask, h, 0.0)
     total = float(np.sum(h))
-    # float64 rounding: relative error per cumsum stage grows linearly in
-    # the length; r stages over cutoff terms, with margin.
-    rounding = abs(total) * len(parts) * cutoff * 2.3e-16 * 8
+    rounding = _float64_rounding(total, len(parts), cutoff)
     q = sum(1 for p in parts[:-1] if p == 1)
     z_factor = mpmath.mpf(1)
     for p in parts[:-1]:
@@ -552,7 +557,7 @@ def polylog_near_one(k: int, u) -> EvalResult:
 def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
     """Value equality under index duality, across every admissible index
     of weight up to max_weight (each dual pair checked once)."""
-    out = []
+    log = RowLog()
     seen = set()
     for k in sorted(indices_up_to_weight(max_weight), key=weight):
         if k[-1] >= 2:
@@ -560,18 +565,14 @@ def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
             if (d, k) in seen:
                 continue
             seen.add((k, d))
-            watch = Stopwatch()
-            out.append(
-                report_numeric(
-                    "mzv.duality",
-                    {"index": k, "dual": d},
-                    mzv(k),
-                    mzv(d),
-                    tolerance,
-                    elapsed=watch.elapsed(),
-                )
+            log.numeric(
+                "mzv.duality",
+                {"index": k, "dual": d},
+                mzv(k),
+                mzv(d),
+                tolerance,
             )
-    return out
+    return log.rows
 
 
 _ORACLE_SLATE_ZETA = ((2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 2), (2, 3), (1, 2, 2), (1, 1, 1, 2))
@@ -584,29 +585,21 @@ def direct_oracle_check(cutoff: int = 100_000, tolerance: float = 1e-8):
     The oracle's tail bound enters the pass criterion, so the comparison
     stays honest even where the truncation error dwarfs the tolerance.
     """
-    out = []
+    log = RowLog()
     for parts in _ORACLE_SLATE_ZETA:
-        watch = Stopwatch()
-        out.append(
-            report_numeric(
-                "mzv.direct-sum-crosscheck",
-                {"index": parts, "cutoff": cutoff},
-                mzv(parts),
-                mzv_direct(parts, cutoff),
-                tolerance,
-                elapsed=watch.elapsed(),
-            )
+        log.numeric(
+            "mzv.direct-sum-crosscheck",
+            {"index": parts, "cutoff": cutoff},
+            mzv(parts),
+            mzv_direct(parts, cutoff),
+            tolerance,
         )
     for parts in _ORACLE_SLATE_T0:
-        watch = Stopwatch()
-        out.append(
-            report_numeric(
-                "t0.direct-sum-crosscheck",
-                {"index": parts, "cutoff": cutoff},
-                t0_value(parts),
-                t0_direct(parts, cutoff),
-                tolerance,
-                elapsed=watch.elapsed(),
-            )
+        log.numeric(
+            "t0.direct-sum-crosscheck",
+            {"index": parts, "cutoff": cutoff},
+            t0_value(parts),
+            t0_direct(parts, cutoff),
+            tolerance,
         )
-    return out
+    return log.rows

@@ -26,13 +26,7 @@ from .exact_series import (
     stirling2,
 )
 from .index_algebra import indices_up_to_weight, require_int, require_integer_index
-from .reports import (
-    SKIPPED_BAD_PRIME,
-    Stopwatch,
-    VerificationReport,
-    report_exact,
-    report_skip,
-)
+from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
 __all__ = [
     "DirichletPolynomial",
@@ -154,25 +148,15 @@ def poly_bernoulli_C(n: int, k: int) -> Fraction:
 
 
 def poly_bernoulli_B_stirling(n: int, k: int) -> Fraction:
-    """Closed form over set partitions:
+    """Closed form over set partitions, the value of B_symbolic(n) at k:
     sum_{m=0..n} (-1)^(n+m) m! S(n,m) (m+1)^(-k)."""
-    total = _ZERO
-    for m in range(n + 1):
-        s = stirling2(n, m)
-        if s:
-            total += (-1) ** (n + m) * math.factorial(m) * s * exact_power(m + 1, -k)
-    return total
+    return B_symbolic(n).evaluate_exact(k)
 
 
 def poly_bernoulli_C_stirling(n: int, k: int) -> Fraction:
-    """Closed form over set partitions of one extra element:
-    sum_{m=1..n+1} (-1)^(n+m+1) (m-1)! S(n+1,m) m^(-k)."""
-    total = _ZERO
-    for m in range(1, n + 2):
-        s = stirling2(n + 1, m)
-        if s:
-            total += (-1) ** (n + m + 1) * math.factorial(m - 1) * s * exact_power(m, -k)
-    return total
+    """Closed form over set partitions of one extra element, the value of
+    C_symbolic(n) at k: sum_{m=1..n+1} (-1)^(n+m+1) (m-1)! S(n+1,m) m^(-k)."""
+    return C_symbolic(n).evaluate_exact(k)
 
 
 def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fraction:
@@ -254,64 +238,52 @@ def negative_polylog_exp_form(parts: tuple[int, ...]) -> tuple[Fraction, ...]:
 
 def duality_check_B(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:
     """B_n^(-k) = B_k^(-n), checked bit-exactly on the full grid."""
-    out = []
+    log = RowLog()
     for n in range(max_n + 1):
         for k in range(n, max_k + 1):
-            watch = Stopwatch()
-            out.append(
-                report_exact(
-                    "pbn.B-duality",
-                    {"n": n, "k": k},
-                    poly_bernoulli_B(n, -k),
-                    poly_bernoulli_B(k, -n),
-                    elapsed=watch.elapsed(),
-                )
+            log.exact(
+                "pbn.B-duality",
+                {"n": n, "k": k},
+                poly_bernoulli_B(n, -k),
+                poly_bernoulli_B(k, -n),
             )
-    return out
+    return log.rows
 
 
 def duality_check_C(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:
     """C_n^(-k-1) = C_k^(-n-1), checked bit-exactly on the full grid."""
-    out = []
+    log = RowLog()
     for n in range(max_n + 1):
         for k in range(n, max_k + 1):
-            watch = Stopwatch()
-            out.append(
-                report_exact(
-                    "pbn.C-duality",
-                    {"n": n, "k": k},
-                    poly_bernoulli_C(n, -k - 1),
-                    poly_bernoulli_C(k, -n - 1),
-                    elapsed=watch.elapsed(),
-                )
+            log.exact(
+                "pbn.C-duality",
+                {"n": n, "k": k},
+                poly_bernoulli_C(n, -k - 1),
+                poly_bernoulli_C(k, -n - 1),
             )
-    return out
+    return log.rows
 
 
 def stirling_oracle_check(max_n: int = 30, max_abs_k: int = 8) -> list[VerificationReport]:
     """Series route against the Stirling closed forms, aggregated per
     (kind, k) with n swept from 0 to max_n."""
-    out = []
+    log = RowLog()
     for kind, oracle in (("B", poly_bernoulli_B_stirling), ("C", poly_bernoulli_C_stirling)):
         for k in range(-max_abs_k, max_abs_k + 1):
-            watch = Stopwatch()
             bad = [
                 n
                 for n in range(max_n + 1)
                 if multi_poly_bernoulli(n, (k,), kind) != oracle(n, k)
             ]
-            out.append(
-                report_exact(
-                    "pbn.stirling-closed-form",
-                    {"kind": kind, "k": k, "max_n": max_n},
-                    lhs="series",
-                    rhs="stirling",
-                    equal=not bad,
-                    elapsed=watch.elapsed(),
-                    detail=f"mismatch at n={bad}" if bad else None,
-                )
+            log.sweep(
+                "pbn.stirling-closed-form",
+                {"kind": kind, "k": k, "max_n": max_n},
+                "series",
+                "stirling",
+                "n",
+                bad,
             )
-    return out
+    return log.rows
 
 
 def _multi_oracle_indices(max_depth: int = 3) -> list[tuple[int, ...]]:
@@ -327,28 +299,24 @@ def _multi_oracle_indices(max_depth: int = 3) -> list[tuple[int, ...]]:
 def multi_oracle_check(max_depth: int = 3, max_n: int = 15) -> list[VerificationReport]:
     """Series route against the brute-force tuple sum for a fixed slate of
     multi-indices up to the given depth, n swept from 0 to max_n."""
-    out = []
+    log = RowLog()
     for index in _multi_oracle_indices(max_depth):
         for kind in ("B", "C"):
-            watch = Stopwatch()
             bad = [
                 n
                 for n in range(max_n + 1)
                 if multi_poly_bernoulli(n, index, kind)
                 != multi_poly_bernoulli_brute(n, index, kind)
             ]
-            out.append(
-                report_exact(
-                    "pbn.multi-index-brute-oracle",
-                    {"kind": kind, "index": index, "max_n": max_n},
-                    lhs="series",
-                    rhs="brute",
-                    equal=not bad,
-                    elapsed=watch.elapsed(),
-                    detail=f"mismatch at n={bad}" if bad else None,
-                )
+            log.sweep(
+                "pbn.multi-index-brute-oracle",
+                {"kind": kind, "index": index, "max_n": max_n},
+                "series",
+                "brute",
+                "n",
+                bad,
             )
-    return out
+    return log.rows
 
 
 class _Bivariate:
@@ -387,6 +355,7 @@ def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[Verific
     Both right-hand sides are manifestly symmetric in x and y.  Compared
     coefficientwise, one report per row n.
     """
+    log = RowLog()
     exy = _Bivariate.build(max_n, max_k, lambda i, j: Fraction(1, math.factorial(i) * math.factorial(j)))
     denom = _Bivariate.build(
         max_n,
@@ -397,30 +366,25 @@ def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[Verific
     )
     b_side = exy.divide(denom)
     c_side = b_side.divide(denom)
-    out = []
     for kind, table, value in (
         ("B", b_side, lambda n, k: poly_bernoulli_B(n, -k)),
         ("C", c_side, lambda n, k: poly_bernoulli_C(n, -k - 1)),
     ):
         for n in range(max_n + 1):
-            watch = Stopwatch()
             bad = [
                 k
                 for k in range(max_k + 1)
                 if table.rows[n][k] * math.factorial(n) * math.factorial(k) != value(n, k)
             ]
-            out.append(
-                report_exact(
-                    "pbn.bivariate-generating-function",
-                    {"kind": kind, "n": n, "max_k": max_k},
-                    lhs="series-coefficients",
-                    rhs="direct-values",
-                    equal=not bad,
-                    elapsed=watch.elapsed(),
-                    detail=f"mismatch at k={bad}" if bad else None,
-                )
+            log.sweep(
+                "pbn.bivariate-generating-function",
+                {"kind": kind, "n": n, "max_k": max_k},
+                "series-coefficients",
+                "direct-values",
+                "k",
+                bad,
             )
-    return out
+    return log.rows
 
 
 def finite_mzv_mod_p(index: tuple[int, ...], p: int) -> int:
@@ -444,34 +408,27 @@ def congruence_check(
     """The truncated sum mod p equals -C_{p-2} at the index with its last
     entry lowered by one.  Indices with a denominator divisible by p are
     reported as skipped."""
-    out = []
+    log = RowLog()
     for p in primes:
         for index in indices_up_to_weight(max_weight):
-            watch = Stopwatch()
             lowered = index[:-1] + (index[-1] - 1,)
             rhs_value = multi_poly_bernoulli(p - 2, lowered, "C")
             if rhs_value.denominator % p == 0:
-                out.append(
-                    report_skip(
-                        "pbn.finite-sum-congruence",
-                        {"index": index, "p": p},
-                        SKIPPED_BAD_PRIME,
-                        f"denominator {rhs_value.denominator} divisible by {p}",
-                        elapsed=watch.elapsed(),
-                    )
+                log.skip(
+                    "pbn.finite-sum-congruence",
+                    {"index": index, "p": p},
+                    SKIPPED_BAD_PRIME,
+                    f"denominator {rhs_value.denominator} divisible by {p}",
                 )
                 continue
             rhs = (
                 -rhs_value.numerator * pow(rhs_value.denominator, -1, p)
             ) % p
             lhs = finite_mzv_mod_p(index, p)
-            out.append(
-                report_exact(
-                    "pbn.finite-sum-congruence",
-                    {"index": index, "p": p},
-                    Fraction(lhs),
-                    Fraction(rhs),
-                    elapsed=watch.elapsed(),
-                )
+            log.exact(
+                "pbn.finite-sum-congruence",
+                {"index": index, "p": p},
+                Fraction(lhs),
+                Fraction(rhs),
             )
-    return out
+    return log.rows

@@ -11,6 +11,11 @@ parameters, what both sides evaluated to, and a status:
     skipped_bad_prime   a congruence denominator collides with the modulus
     not_covered         the instance lies outside the implemented family
 
+Each check builds its rows through one RowLog.  A row's elapsed_seconds
+is the wall time since the previous row of the same check (since the
+check began, for its first row), so every second a check spends lands in
+exactly one row and a check's rows add up to its time.
+
 Reports serialize to a versioned JSON document ("akzkit-report/1") whose
 numeric values carry their error bounds in separate fields, never fused
 into the value string.
@@ -44,16 +49,13 @@ __all__ = [
     "SKIPPED_BAD_PRIME",
     "NOT_COVERED",
     "SCHEMA",
-    "report_exact",
-    "report_numeric",
-    "report_skip",
+    "RowLog",
     "format_rational",
     "format_real",
     "summarize",
     "any_failure",
     "reports_to_document",
     "write_json",
-    "Stopwatch",
 ]
 
 
@@ -92,16 +94,6 @@ class VerificationReport:
         return line
 
 
-class Stopwatch:
-    """Tiny helper so every report can carry wall-clock cost."""
-
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return round(time.perf_counter() - self.start, 6)
-
-
 def format_rational(q: Fraction | int) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
@@ -113,90 +105,123 @@ def format_real(x: Any, digits: int = 20) -> str:
     return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
 
 
-def report_exact(
-    identity_id: str,
-    parameters: dict[str, Any],
-    lhs: Fraction | int | str,
-    rhs: Fraction | int | str,
-    *,
-    equal: bool | None = None,
-    elapsed: float = 0.0,
-    detail: str | None = None,
-) -> VerificationReport:
-    """Build a report for an exact (rational or symbolic) comparison.
+class RowLog:
+    """The rows of one check, each stamped with its share of the time.
 
-    When lhs/rhs are rationals the equality test is automatic; for
-    pre-formatted strings pass the outcome through `equal`.
+    A row's elapsed_seconds is the time since the previous row of this
+    log, or since the log was made for the first row.  The check returns
+    `rows`.
+
+    >>> log = RowLog()
+    >>> log.exact("demo", {"n": 2}, Fraction(1, 2), Fraction(2, 4))
+    >>> log.sweep("demo", {"max_n": 9}, "left", "right", "n", [3, 7])
+    >>> [(r.status, r.detail) for r in log.rows]
+    [('pass_exact', None), ('fail', 'mismatch at n=[3, 7]')]
     """
-    if equal is None:
-        equal = lhs == rhs
-    lhs_s = lhs if isinstance(lhs, str) else format_rational(lhs)
-    rhs_s = rhs if isinstance(rhs, str) else format_rational(rhs)
-    return VerificationReport(
-        identity_id=identity_id,
-        parameters=parameters,
-        lhs=lhs_s,
-        rhs=rhs_s,
-        status=PASS_EXACT if equal else FAIL,
-        tolerance=None,
-        elapsed_seconds=elapsed,
-        detail=detail,
-    )
 
+    def __init__(self) -> None:
+        self.rows: list[VerificationReport] = []
+        self._mark = time.perf_counter()
 
-def report_numeric(
-    identity_id: str,
-    parameters: dict[str, Any],
-    lhs: Any,
-    rhs: Any,
-    tolerance: float,
-    *,
-    elapsed: float = 0.0,
-    detail: str | None = None,
-    extra_allowance: Any = 0,
-) -> VerificationReport:
-    """Build a report comparing two EvalResult-like objects.
+    def _add(self, row: VerificationReport) -> None:
+        now = time.perf_counter()
+        row.elapsed_seconds = round(now - self._mark, 6)
+        self._mark = now
+        self.rows.append(row)
 
-    Both arguments need `.value` and `.error_bound` attributes.  The pass
-    condition is |lhs - rhs| <= tolerance + both error bounds (plus any
-    caller-supplied extra allowance, e.g. for a hard-coded side).
-    """
-    diff = abs(lhs.value - rhs.value)
-    allowed = tolerance + lhs.error_bound + rhs.error_bound + extra_allowance
-    ok = diff <= allowed
-    return VerificationReport(
-        identity_id=identity_id,
-        parameters=parameters,
-        lhs=format_real(lhs.value),
-        rhs=format_real(rhs.value),
-        status=PASS_NUMERIC if ok else FAIL,
-        tolerance=tolerance,
-        elapsed_seconds=elapsed,
-        lhs_error_bound=format_real(lhs.error_bound, 3),
-        rhs_error_bound=format_real(rhs.error_bound, 3),
-        detail=detail,
-    )
+    def exact(
+        self,
+        identity_id: str,
+        parameters: dict[str, Any],
+        lhs: Fraction | int | str,
+        rhs: Fraction | int | str,
+        *,
+        equal: bool | None = None,
+        detail: str | None = None,
+    ) -> None:
+        """Add a row for an exact (rational or symbolic) comparison.
 
+        When lhs/rhs are rationals the equality test is automatic; for
+        pre-formatted strings pass the outcome through `equal`.
+        """
+        if equal is None:
+            equal = lhs == rhs
+        self._add(
+            VerificationReport(
+                identity_id=identity_id,
+                parameters=parameters,
+                lhs=lhs if isinstance(lhs, str) else format_rational(lhs),
+                rhs=rhs if isinstance(rhs, str) else format_rational(rhs),
+                status=PASS_EXACT if equal else FAIL,
+                detail=detail,
+            )
+        )
 
-def report_skip(
-    identity_id: str,
-    parameters: dict[str, Any],
-    status: str,
-    detail: str,
-    *,
-    elapsed: float = 0.0,
-) -> VerificationReport:
-    if status not in (SKIPPED_POLE, SKIPPED_BAD_PRIME, NOT_COVERED):
-        raise ValueError(f"not a skip status: {status!r}")
-    return VerificationReport(
-        identity_id=identity_id,
-        parameters=parameters,
-        lhs="",
-        rhs="",
-        status=status,
-        elapsed_seconds=elapsed,
-        detail=detail,
-    )
+    def sweep(
+        self,
+        identity_id: str,
+        parameters: dict[str, Any],
+        lhs: str,
+        rhs: str,
+        name: str,
+        bad: list[int],
+    ) -> None:
+        """Add an exact row for a sweep over `name`; `bad` lists the
+        values at which the two sides differ, and the row passes when it
+        is empty."""
+        self.exact(
+            identity_id,
+            parameters,
+            lhs,
+            rhs,
+            equal=not bad,
+            detail=f"mismatch at {name}={bad}" if bad else None,
+        )
+
+    def numeric(
+        self,
+        identity_id: str,
+        parameters: dict[str, Any],
+        lhs: Any,
+        rhs: Any,
+        tolerance: float,
+        *,
+        detail: str | None = None,
+    ) -> None:
+        """Add a row comparing two EvalResult-like objects.
+
+        Both arguments need `.value` and `.error_bound` attributes.  The
+        pass condition is |lhs - rhs| <= tolerance + both error bounds.
+        """
+        ok = abs(lhs.value - rhs.value) <= tolerance + lhs.error_bound + rhs.error_bound
+        self._add(
+            VerificationReport(
+                identity_id=identity_id,
+                parameters=parameters,
+                lhs=format_real(lhs.value),
+                rhs=format_real(rhs.value),
+                status=PASS_NUMERIC if ok else FAIL,
+                tolerance=tolerance,
+                lhs_error_bound=format_real(lhs.error_bound, 3),
+                rhs_error_bound=format_real(rhs.error_bound, 3),
+                detail=detail,
+            )
+        )
+
+    def skip(self, identity_id: str, parameters: dict[str, Any], status: str, detail: str) -> None:
+        """Add a row for an instance that was not tested, and why."""
+        if status not in (SKIPPED_POLE, SKIPPED_BAD_PRIME, NOT_COVERED):
+            raise ValueError(f"not a skip status: {status!r}")
+        self._add(
+            VerificationReport(
+                identity_id=identity_id,
+                parameters=parameters,
+                lhs="",
+                rhs="",
+                status=status,
+                detail=detail,
+            )
+        )
 
 
 def summarize(reports: list[VerificationReport]) -> dict[str, int]:

@@ -1,5 +1,6 @@
 """Poly-Bernoulli numbers: sentinel values, dualities, and the oracles."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from akzkit.pbn import (
     poly_bernoulli_C_stirling,
     stirling_oracle_check,
 )
+
+_SLEEP = 0.2
 
 
 def test_first_column_sentinels():
@@ -114,6 +117,21 @@ def test_bivariate_generating_function_rows():
     reports = bivariate_generating_check(max_n=7, max_k=7)
     assert reports
     assert all(r.passed for r in reports)
+
+
+def test_bivariate_rows_carry_the_series_divisions(monkeypatch):
+    # Both divisions run before the first row; the rows must still add up
+    # to the time the check spent on them.
+    divide = pbn._Bivariate.divide
+
+    def slow_divide(self, other):
+        time.sleep(_SLEEP)
+        return divide(self, other)
+
+    monkeypatch.setattr(pbn._Bivariate, "divide", slow_divide)
+    reports = bivariate_generating_check(max_n=2, max_k=2)
+    assert all(r.passed for r in reports)
+    assert sum(r.elapsed_seconds for r in reports) >= 2 * _SLEEP
 
 
 def test_finite_sum_congruence_battery():
