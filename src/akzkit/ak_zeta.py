@@ -33,14 +33,12 @@ from .index_algebra import (
     require_index,
     require_int,
     require_signed_parts,
-    weight,
 )
 from .mzv_numeric import (
     EvalResult,
     PoleError,
     _float64_rounding,
     _iterated_log_tail,
-    exact_result,
     mzsv,
     mzv,
     sum_results,
@@ -55,6 +53,8 @@ from .pbn import (
 from .reports import NOT_COVERED, SKIPPED_POLE, RowLog, VerificationReport
 
 __all__ = [
+    "positive_terms",
+    "height_one_alternating",
     "xi_at_positive",
     "eta_at_positive",
     "xi_nonpositive",
@@ -85,24 +85,29 @@ def _finite_base(k: tuple[int, ...]) -> tuple[int, ...]:
     return dual(plus_one(k))
 
 
-def xi_at_positive(k, m: int) -> EvalResult:
-    """xi(k; m) at an integer m >= 1 as a finite positive combination of
-    multiple zeta values:
+def positive_terms(k, m: int, value) -> list[EvalResult]:
+    """The terms of the finite formula at an integer m >= 1 shared by xi,
+    eta and the level-two psi:
 
-        xi(k; m) = sum over compositions j of m-1 of
-                   b(base; j) * mzv(base + j),
+        b(base; j) * value(base + j) for each composition j of m-1,
 
     with base the dual of k with its last part raised, and b the product
-    of binomial coefficients C(base_i + j_i - 1, j_i).
+    of binomial coefficients C(base_i + j_i - 1, j_i).  `value` is mzv for
+    xi, mzsv for eta and t_value for psi.
     """
-    parts = require_index(k)
-    require_int(m, "m", 1)
-    base = _finite_base(parts)
-    terms = [
-        mzv(tuple(b + j for b, j in zip(base, comp))).scale(b_coefficient(base, comp))
+    base = _finite_base(k)
+    return [
+        value(tuple(b + j for b, j in zip(base, comp))).scale(b_coefficient(base, comp))
         for comp in compositions(m - 1, len(base))
     ]
-    return sum_results(terms, "zeta-combination")
+
+
+def xi_at_positive(k, m: int) -> EvalResult:
+    """xi(k; m) at an integer m >= 1 as a finite positive combination of
+    multiple zeta values: the sum of positive_terms(k, m, mzv)."""
+    parts = require_index(k)
+    require_int(m, "m", 1)
+    return sum_results(positive_terms(parts, m, mzv), "zeta-combination")
 
 
 def eta_at_positive(k, m: int) -> EvalResult:
@@ -110,11 +115,7 @@ def eta_at_positive(k, m: int) -> EvalResult:
     with zeta-star values and the sign (-1)^(depth-1)."""
     parts = require_index(k)
     require_int(m, "m", 1)
-    base = _finite_base(parts)
-    terms = [
-        mzsv(tuple(b + j for b, j in zip(base, comp))).scale(b_coefficient(base, comp))
-        for comp in compositions(m - 1, len(base))
-    ]
+    terms = positive_terms(parts, m, mzsv)
     return sum_results(terms, "zeta-star-combination").scale((-1) ** (len(parts) - 1))
 
 
@@ -168,6 +169,28 @@ def xitilde_closed(parts) -> DirichletPolynomial:
     return DirichletPolynomial.from_dict({j: c for j, c in enumerate(q) if j >= 1 and c})
 
 
+def height_one_alternating(r: int, k: int, m: int, value, method: str) -> EvalResult:
+    """The alternating closed form on the height-one index (1^(r-1), k)
+    at an integer m, shared by xi (value = mzv) and psi (value = t_value):
+
+        (-1)^(k-1) * sum over compositions a of r into k parts of
+        C(m + a_k - 1, a_k) * value(a_1 + 1, ..., a_(k-1) + 1, a_k + m)
+        + sum_{j=0}^{k-2} (-1)^j value(1^(r-1), k-j) * value(1^j, m).
+
+    Divergent constituents (m = 1 with k >= 2) raise PoleError.
+    """
+    first = []
+    for a in compositions(r, k):
+        idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m,)
+        first.append(value(idx).scale(math.comb(m + a[-1] - 1, a[-1])))
+    total = sum_results(first, method).scale((-1) ** (k - 1))
+    for j in range(k - 1):
+        left = value((1,) * (r - 1) + (k - j,))
+        right = value((1,) * j + (m,))
+        total = total + (left * right).scale((-1) ** j)
+    return EvalResult(total.value, total.error_bound, method)
+
+
 def xi_explicit_family(index, m: int) -> EvalResult:
     """Closed-form xi evaluation for the two implemented index shapes:
 
@@ -181,17 +204,7 @@ def xi_explicit_family(index, m: int) -> EvalResult:
     require_int(m, "m", 1)
     r = len(parts)
     if all(p == 1 for p in parts[:-1]):
-        k = parts[-1]
-        first = []
-        for a in compositions(r, k):
-            idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m,)
-            first.append(mzv(idx).scale(math.comb(m + a[-1] - 1, a[-1])))
-        total = sum_results(first, "explicit-family").scale((-1) ** (k - 1))
-        for j in range(k - 1):
-            left = mzv((1,) * (r - 1) + (k - j,))
-            right = zeta(m) if j == 0 else mzv((1,) * j + (m,))
-            total = total + (left * right).scale((-1) ** j)
-        return EvalResult(total.value, total.error_bound, "explicit-family")
+        return height_one_alternating(r, parts[-1], m, mzv, "explicit-family")
     if parts[0] == 2 and all(p == 1 for p in parts[1:]) and r >= 2:
         t = r - 1
         pieces = [

@@ -182,7 +182,6 @@ def _cmd_verify_all(args) -> int:
     reports = verify.verify_all(
         jobs=args.jobs,
         tolerance=args.tol,
-        prec_bits=args.prec_bits,
         max_weight=args.max_weight,
         inject_perturbation=args.inject_perturbation,
     )
@@ -287,7 +286,7 @@ def run_command(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if getattr(args, "prec_bits", None) is not None and args.command != "verify-all":
+        if args.prec_bits is not None:
             configure(args.prec_bits)
         return args.func(args)
     except (PoleError, ValueError, RuntimeError) as exc:

@@ -16,7 +16,7 @@ Everything here is value-semantic and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Index = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -150,19 +150,6 @@ def dual(k: Iterable[int]) -> Index:
     return _decode(swapped)
 
 
-def _part_splits(p: int) -> Iterator[Composition]:
-    # All ordered ways to write p as a sum of positive integers.
-    if p == 1:
-        yield (1,)
-        return
-    for first in range(1, p + 1):
-        if first == p:
-            yield (p,)
-        else:
-            for rest in _part_splits(p - first):
-                yield (first,) + rest
-
-
 def refinements(k: Iterable[int]) -> tuple[Index, ...]:
     """All indices k' with k <= k' in the refinement order.
 
@@ -174,7 +161,12 @@ def refinements(k: Iterable[int]) -> tuple[Index, ...]:
     parts = require_index(k)
     results: list[Index] = [()]
     for p in parts:
-        results = [acc + split for acc in results for split in _part_splits(p)]
+        # The ordered sums of p: each composition of p - r into r
+        # nonnegative parts, with every part raised by one.
+        splits = [
+            tuple(c + 1 for c in comp) for r in range(1, p + 1) for comp in compositions(p - r, r)
+        ]
+        results = [acc + split for acc in results for split in splits]
     return tuple(sorted(results))
 
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .ak_zeta import height_one_alternating, positive_terms
 from .exact_series import TruncatedSeries, mpl_coeffs
 from .index_algebra import compositions, indices_up_to_weight, require_index, require_int
 from .mzv_numeric import (
@@ -171,17 +172,16 @@ def psi_at_positive(r: int, k: int, m: int) -> EvalResult:
     m >= 2 it is the pole-free binomial combination
 
         sum over compositions a of m-1 into k parts of
-        C(a_k + r, r) * T(a_1 + 1, ..., a_(k-1) + 1, a_k + r + 1).
+        C(a_k + r, r) * T(a_1 + 1, ..., a_(k-1) + 1, a_k + r + 1),
+
+    which is xi's finite formula (ak_zeta.positive_terms) with T values.
     """
     require_int(r, "r", 1)
     require_int(k, "k", 1)
     require_int(m, "m", 1)
     if m == 1:
         return t_value(_height_one(r, k + 1))
-    terms = []
-    for a in compositions(m - 1, k):
-        idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + r + 1,)
-        terms.append(t_value(idx).scale(math.comb(a[-1] + r, r)))
+    terms = positive_terms(_height_one(r, k), m, t_value)
     return sum_results(terms, "binomial-T-combination")
 
 
@@ -190,22 +190,14 @@ def psi_alternating_form(r: int, k: int, m: int) -> EvalResult:
 
         (-1)^(k-1) * sum over compositions a of r into k parts of
         C(m + a_k - 1, a_k) * T(a_1 + 1, ..., a_(k-1) + 1, a_k + m)
-        + sum_{j=0}^{k-2} (-1)^j T(1^(r-1), k-j) * T(1^j, m).
+        + sum_{j=0}^{k-2} (-1)^j T(1^(r-1), k-j) * T(1^j, m),
 
-    Divergent constituents (m = 1 with k >= 2) raise PoleError.
+    xi's height-one closed form (ak_zeta.height_one_alternating) with T
+    values.  Divergent constituents (m = 1 with k >= 2) raise PoleError.
     """
     require_int(r, "r", 1)
     require_int(k, "k", 1)
-    first = []
-    for a in compositions(r, k):
-        idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m,)
-        first.append(t_value(idx).scale(math.comb(m + a[-1] - 1, a[-1])))
-    total = sum_results(first, "alternate-T-combination").scale((-1) ** (k - 1))
-    for j in range(k - 1):
-        left = t_value((1,) * (r - 1) + (k - j,))
-        right = t_value((1,) * j + (m,))
-        total = total + (left * right).scale((-1) ** j)
-    return EvalResult(total.value, total.error_bound, "alternate-T-combination")
+    return height_one_alternating(r, k, m, t_value, "alternate-T-combination")
 
 
 def psi_formula_crosscheck(
@@ -271,10 +263,7 @@ def t_binomial_identity_check(
     for m in m_values:
         for r in r_values:
             for k in k_values:
-                left = []
-                for a in compositions(m, k):
-                    idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + r + 1,)
-                    left.append(t_value(idx).scale(math.comb(a[-1] + r, r)))
+                left = positive_terms(_height_one(r, k), m + 1, t_value)
                 for a in compositions(r, k):
                     idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m + 1,)
                     left.append(t_value(idx).scale((-1) ** k * math.comb(a[-1] + m, m)))

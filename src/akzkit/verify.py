@@ -10,12 +10,7 @@ from typing import Callable
 
 from . import ak_zeta, level2, pbn
 from .exact_series import negative_mpl_certificate_check
-from .mzv_numeric import (
-    configure,
-    direct_oracle_check,
-    duality_numeric_check,
-    set_perturbation,
-)
+from .mzv_numeric import direct_oracle_check, duality_numeric_check, set_perturbation
 from .reports import VerificationReport
 
 __all__ = ["default_tasks", "verify_all"]
@@ -73,7 +68,6 @@ def default_tasks(tolerance: float = 1e-8, max_weight: int = 8) -> list[Task]:
 def verify_all(
     jobs: int = 1,
     tolerance: float = 1e-8,
-    prec_bits: int | None = None,
     max_weight: int = 8,
     inject_perturbation: bool = False,
 ) -> list[VerificationReport]:
@@ -84,10 +78,9 @@ def verify_all(
     which hold the interpreter lock, and a thread pool measured no faster
     than a serial run.  `inject_perturbation` flips the deliberate-fault
     switch for the duration of the run so a caller can confirm the checks
-    have teeth.
+    have teeth.  The precision is whatever `mzv_numeric.configure` last
+    set (256 bits by default).
     """
-    if prec_bits is not None:
-        configure(prec_bits)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     tasks = default_tasks(tolerance=tolerance, max_weight=max_weight)

@@ -3,7 +3,6 @@ identity batteries at reduced ranges (full ranges run in the acceptance
 suite)."""
 
 import time
-from fractions import Fraction
 
 import numpy
 import pytest

@@ -17,6 +17,7 @@ import akzkit.level2
 import akzkit.mzv_numeric
 import akzkit.pbn
 import akzkit.reports
+import akzkit.verify
 from akzkit.cli import certified_digits, parse_index, run_command
 from akzkit.mzv_numeric import mzv
 
@@ -176,6 +177,14 @@ def test_tval_both_normalizations(capsys):
     assert run_command(["tval", "--index", "2", "--t0", "--digits", "12"]) == 0
     halved = capsys.readouterr().out.strip()
     assert float(doubled) == pytest.approx(2 * float(halved))
+
+
+def test_verify_all_rejects_a_bad_precision_before_any_check(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(akzkit.verify, "verify_all", lambda **kw: ran.append(kw) or [])
+    assert run_command(["--prec-bits", "53", "verify-all"]) == 2
+    assert "precision" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_help_exits_zero():

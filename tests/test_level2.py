@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 import akzkit
+from akzkit import ak_zeta
 from akzkit.level2 import (
     ath_coeffs,
     ath_series_identities,
@@ -21,7 +22,7 @@ from akzkit.level2 import (
     psi_alternating_form,
     t_binomial_identity_check,
 )
-from akzkit.mzv_numeric import PoleError, t0_value, t_value, zeta
+from akzkit.mzv_numeric import EvalResult, PoleError, t0_value, t_value, zeta
 
 
 def _agree(a, b, extra=0):
@@ -77,6 +78,32 @@ def test_the_two_psi_routes_agree():
     skipped = [r for r in reports if r.status == "skipped_pole"]
     assert skipped, "expected the m=1, k>=2 instances to be skipped"
     assert not any(r.failed for r in reports)
+
+
+def _nudged(result):
+    return EvalResult(result.value * (1 + mpmath.mpf("1e-6")), result.error_bound, result.method)
+
+
+@pytest.mark.parametrize("helper", ["positive_terms", "height_one_alternating"])
+def test_both_levels_catch_a_fault_in_a_shared_formula(helper, monkeypatch):
+    # Each shared finite formula is one side of the xi crosscheck and one
+    # side of the psi crosscheck, so a wrong value in it fails both.
+    clean = getattr(ak_zeta, helper)
+
+    def faulty(*args):
+        out = clean(*args)
+        return [_nudged(t) for t in out] if isinstance(out, list) else _nudged(out)
+
+    holders = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("akzkit") and getattr(module, helper, None) is clean
+    ]
+    assert len(holders) >= 2
+    for module in holders:
+        monkeypatch.setattr(module, helper, faulty)
+    assert any(r.failed for r in ak_zeta.xi_family_crosscheck())
+    assert any(r.failed for r in psi_formula_crosscheck(max_r=2, max_k=2, m_values=(2,)))
 
 
 def test_height_one_duality_battery():
