@@ -9,8 +9,6 @@ package leans on: the k_+ operator, duality by binary-word reversal, the
 refinement partial order, composition and index enumeration, the
 product of binomial coefficients b(k; j) that appears in the finite
 evaluation formulas, and the integer validator every module uses.
-
-Everything here is value-semantic and safe to call concurrently.
 """
 
 from __future__ import annotations

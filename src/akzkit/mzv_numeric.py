@@ -18,15 +18,12 @@ begins; after the first evaluation it is locked, so no cache key needs to
 name it.  Three caches keep what is asked for again: the value of each word
 integral at its point and cap, each path-split result, and, per k, the
 u-independent coefficients of polylog_near_one.  The last is keyed on k
-alone for the same reason: every entry is built after the lock.  All are
-plain dicts populated under the interpreter lock, and cached objects are
-immutable, so concurrent readers are safe.
+alone for the same reason: every entry is built after the lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -73,7 +70,6 @@ class PoleError(ValueError):
 _DEFAULT_PREC = 256
 
 _state = {"prec": _DEFAULT_PREC, "locked": False, "perturb": False}
-_state_lock = threading.Lock()
 
 _value_cache: dict[tuple, tuple] = {}
 _result_cache: dict[tuple, "EvalResult"] = {}
@@ -84,11 +80,10 @@ def configure(prec_bits: int = _DEFAULT_PREC) -> None:
     changing it afterwards raises, since cached values would go stale."""
     if prec_bits < 64:
         raise ValueError("precision below 64 bits defeats the bound tracking")
-    with _state_lock:
-        if _state["locked"] and prec_bits != _state["prec"]:
-            raise RuntimeError("precision is locked after the first evaluation")
-        _state["prec"] = prec_bits
-        mpmath.mp.prec = prec_bits
+    if _state["locked"] and prec_bits != _state["prec"]:
+        raise RuntimeError("precision is locked after the first evaluation")
+    _state["prec"] = prec_bits
+    mpmath.mp.prec = prec_bits
 
 
 def current_precision() -> int:
@@ -99,9 +94,8 @@ def _activate() -> None:
     # Entry point of every evaluator: pin mpmath to the configured
     # precision and lock further configuration.
     if not _state["locked"]:
-        with _state_lock:
-            mpmath.mp.prec = _state["prec"]
-            _state["locked"] = True
+        mpmath.mp.prec = _state["prec"]
+        _state["locked"] = True
 
 
 def set_perturbation(enabled: bool) -> None:
@@ -426,10 +420,8 @@ def t0_direct(k, cutoff: int = 100_000) -> EvalResult:
 # The polylogarithm just below 1, and exact zeta values at integers <= 0.
 
 
-# B_0, B_1, ... as far as any caller has asked; grown under the lock so
-# that concurrent callers append each number once and in order.
+# B_0, B_1, ... as far as any caller has asked.
 _bernoulli_table: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -441,13 +433,11 @@ def bernoulli_number(n: int) -> Fraction:
     if n < 0:
         raise ValueError("index must be nonnegative")
     items = _bernoulli_table
-    if n >= len(items):
-        with _bernoulli_lock:
-            for m in range(len(items), n + 1):
-                acc = Fraction(0)
-                for j in range(m):
-                    acc += math.comb(m + 1, j) * items[j]
-                items.append(-acc / (m + 1))
+    for m in range(len(items), n + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * items[j]
+        items.append(-acc / (m + 1))
     return items[n]
 
 
@@ -461,14 +451,55 @@ def zeta_nonpositive(n: int) -> Fraction:
     return -bernoulli_number(m + 1) / (m + 1)
 
 
+def _exact(x) -> Fraction:
+    """The value of an mpf as a Fraction, exactly."""
+    man, exp = x.man_exp
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+@dataclass(frozen=True)
+class _FixedSeries:
+    """sum_j c_j x^j for 0 <= x <= 1 in F-bit fixed point: each c_j is
+    stored as the int nearest to c_j 2^F."""
+
+    coeffs: tuple[int, ...]
+    frac_bits: int  # F
+    # Bounds sum_j |A_(j+1)| / 2^F over the partial sums A of a Horner
+    # evaluation, which is how far an error of one unit in x moves the
+    # result: sum_j j (|c_j| + 1) rounded up, plus one unit per coefficient
+    # for the errors the partial sums carry.
+    slope: int
+
+    @classmethod
+    def build(cls, coeffs: list[int], frac_bits: int) -> "_FixedSeries":
+        moment = sum(j * (abs(c) + 1) for j, c in enumerate(coeffs))
+        return cls(tuple(coeffs), frac_bits, -(-moment >> frac_bits) + len(coeffs))
+
+    def evaluate(self, x, x_units: int, terms: int) -> tuple:
+        """(value, rounding bound) of the sum over the first `terms`
+        coefficients, at an mpf x within x_units units of 2^-F of the true
+        point once floored to F bits.  Each Horner step floors once (under
+        one unit) and adds a rounded coefficient (half a unit); the error
+        in x costs slope units per unit."""
+        f = self.frac_bits
+        point = math.floor(_exact(x) * (1 << f))
+        acc = 0
+        for c in reversed(self.coeffs[:terms]):
+            acc = ((acc * point) >> f) + c
+        units = terms + (terms + 1) // 2 + self.slope * x_units
+        return mpmath.ldexp(acc, -f), mpmath.ldexp(units, -f)
+
+
 @dataclass(frozen=True)
 class _NearOneTable:
     """The u-independent parts of polylog_near_one for one k."""
 
-    coeffs: tuple  # (-1)^j zeta(k-j)/j! for j = 0..j_top, 0 at j = k-1
-    coeff_bounds: tuple  # error bounds of coeffs[j], j = 0..k-2
+    series: _FixedSeries  # (-1)^j zeta(k-j)/j! for j = 0..j_top, 0 at j = k-1
+    # The error of the zeta values in those coefficients, sum_j bound/j!,
+    # which bounds its effect at every u < 1.
+    series_error: Any
     harmonic: Any  # H_(k-1)
-    inv_powers: tuple  # 1/n^k for n = 1, 2, ... as far as u = 1 needs
+    exp_series: _FixedSeries  # 0, then 1/n^k for n = 1, 2, ... as far as u = 1 needs
 
 
 # Keyed on k alone: the precision is locked before the first evaluation.
@@ -484,23 +515,27 @@ def _near_one_table(k: int) -> _NearOneTable:
     hit = _near_one_tables.get(k)
     if hit is not None:
         return hit
+    frac_bits = _state["prec"] + 32
+    scale = 1 << frac_bits
     j_top = _state["prec"] // 2 + 48
     coeffs = []
-    bounds = []
+    error = mpmath.mpf(0)
     for j in range(j_top + 1):
         if k - j >= 2:
             zr = mzv((k - j,))
-            coeffs.append((-1) ** j * zr.value / math.factorial(j))
-            bounds.append(zr.error_bound / math.factorial(j))
+            coeffs.append(round((-1) ** j * _exact(zr.value) * scale / math.factorial(j)))
+            error += zr.error_bound / math.factorial(j)
         elif j == k - 1:
-            coeffs.append(mpmath.mpf(0))
+            coeffs.append(0)
         else:
-            coeffs.append(_mpf((-1) ** j * zeta_nonpositive(k - j) / math.factorial(j)))
+            coeffs.append(round((-1) ** j * zeta_nonpositive(k - j) * scale / math.factorial(j)))
+    n_top = _exp_series_terms(1)
+    inv_powers = [0] + [round(Fraction(scale, n**k)) for n in range(1, n_top + 1)]
     table = _NearOneTable(
-        coeffs=tuple(coeffs),
-        coeff_bounds=tuple(bounds),
+        series=_FixedSeries.build(coeffs, frac_bits),
+        series_error=error,
         harmonic=_mpf(sum(Fraction(1, i) for i in range(1, k))),
-        inv_powers=tuple(1 / mpmath.mpf(n) ** k for n in range(1, _exp_series_terms(1) + 1)),
+        exp_series=_FixedSeries.build(inv_powers, frac_bits),
     )
     _near_one_tables[k] = table
     return table
@@ -515,9 +550,14 @@ def polylog_near_one(k: int, u) -> EvalResult:
     over j != k-1, with exact values at nonpositive integers (DLMF 25.12).
     The two branches agree at the seam, which tests pin down.
 
-    Everything that does not depend on u (the coefficients zeta(k-j)/j!
-    and their bounds, H_(k-1), and the 1/n^k) is computed once per k, on
-    the first call; each call then evaluates its sums by Horner's rule.
+    Everything that does not depend on u (the coefficients zeta(k-j)/j!,
+    H_(k-1), and the 1/n^k) is computed once per k, on the first call,
+    with the coefficients rounded to ints scaled by 2^F, F = prec + 32.
+    Each call evaluates its sum by Horner's rule in F-bit fixed point, at
+    x = u or x = q.  The bound counts the rounding in units of 2^-F: one
+    per floor, half per rounded coefficient, and the error of x times the
+    table's slope bound.  It adds the error of the zeta values and the
+    truncated tail.
     """
     _activate()
     require_int(k, "k", 2)
@@ -527,24 +567,21 @@ def polylog_near_one(k: int, u) -> EvalResult:
     table = _near_one_table(k)
     if uv >= 1:
         n_terms = _exp_series_terms(uv)
-        q = mpmath.e ** (-uv)
-        total = mpmath.mpf(0)
-        for inv in reversed(table.inv_powers[:n_terms]):
-            total = (total + inv) * q
+        # q carries well under one unit of error before the floor, so the
+        # point is within two.
+        with mpmath.workprec(table.exp_series.frac_bits + 8):
+            q = mpmath.exp(-uv)
+        total, rounding = table.exp_series.evaluate(q, 2, n_terms + 1)
         tail = q ** (n_terms + 1) / (1 - q)
-        return EvalResult(total, tail + _smear(total), "exponential-series")
+        return EvalResult(total, rounding + tail + _smear(total), "exponential-series")
 
-    total = mpmath.mpf(0)
-    for c in reversed(table.coeffs):
-        total = total * uv + c
+    total, rounding = table.series.evaluate(uv, 1, len(table.series.coeffs))
     total += (-uv) ** (k - 1) / math.factorial(k - 1) * (table.harmonic - mpmath.log(uv))
-    bound = mpmath.mpf(0)
-    for b in reversed(table.coeff_bounds):
-        bound = bound * uv + b
+    bound = rounding + table.series_error
     # Remaining terms involve zeta at negative integers; via the Bernoulli
     # growth rate |zeta(-m)| <= 4 m! / (2 pi)^(m+1) they are dominated by
     # a geometric series in u/(2 pi).
-    j_top = len(table.coeffs) - 1
+    j_top = len(table.series.coeffs) - 1
     ratio = uv / (2 * mpmath.pi)
     tail = 4 / (2 * mpmath.pi) * uv**k * ratio ** (j_top + 1 - k) / (1 - ratio)
     return EvalResult(total, bound + tail + _smear(total), "near-one-expansion")

@@ -159,30 +159,56 @@ def poly_bernoulli_C_stirling(n: int, k: int) -> Fraction:
     return C_symbolic(n).evaluate_exact(k)
 
 
+def _brute_weights(n: int, index: tuple[int, ...], kind: str) -> tuple[list[list[int]], int]:
+    """Integer weights w_i[m], m = 1..n+1, for each position i of the
+    index, and one common denominator D = L^(sum of the positive e_i),
+    L = lcm(1, ..., n+1), with m^(-e_i) = w_i[m] / L^e_i for e_i > 0 and
+    w_i[m] = m^(-e_i) otherwise.  The last position also carries the
+    factor (-1)^(n+m+1) (m-1)! S of its tuple entry m, with S = S(n, m-1)
+    for kind B and S(n+1, m) for kind C, so a tuple's term is the product
+    of its weights over D."""
+    lcm = math.lcm(*range(1, n + 2))
+    denominator = 1
+    weights = []
+    for e in index:
+        if e > 0:
+            denominator *= lcm**e
+            weights.append([0] + [(lcm // m) ** e for m in range(1, n + 2)])
+        else:
+            weights.append([0] + [m**-e for m in range(1, n + 2)])
+    last = weights[-1]
+    for m in range(1, n + 2):
+        s = stirling2(n, m - 1) if kind == "B" else stirling2(n + 1, m)
+        last[m] *= (-1) ** (n + m + 1) * math.factorial(m - 1) * s
+    return weights, denominator
+
+
 def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fraction:
     """Finite double sum over strictly increasing tuples, fully independent
     of the series route.
 
     Expanding (1-e^(-t))^m through Stirling numbers turns the generating
-    series into a finite sum over tuples m_1 < ... < m_r <= n+1 weighted
-    by (-1)^(n+m_r+1) (m_r-1)! times S(n, m_r - 1) for kind B and
-    S(n+1, m_r) for kind C.
+    series into a finite sum over tuples m_1 < ... < m_r <= n+1 of
+    (-1)^(n+m_r+1) (m_r-1)! m_1^(-e_1) ... m_r^(-e_r) times S(n, m_r - 1)
+    for kind B and S(n+1, m_r) for kind C.  Every term is an int over one
+    common denominator, the product over e_i > 0 of lcm(1, ..., n+1)^e_i,
+    so the tuples are summed in ints and the sum is divided once.
     """
     if kind not in ("B", "C"):
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
     index = require_integer_index(index)
-    r = len(index)
-    total = _ZERO
-    for ms in itertools.combinations(range(1, n + 2), r):
-        top = ms[-1]
-        s = stirling2(n, top - 1) if kind == "B" else stirling2(n + 1, top)
-        if not s:
+    weights, denominator = _brute_weights(n, index, kind)
+    *inner, last = weights
+    total = 0
+    for top in range(1, n + 2):
+        if not last[top]:
             continue
-        term = Fraction((-1) ** (n + top + 1) * math.factorial(top - 1) * s)
-        for m, e in zip(ms, index):
-            term *= exact_power(m, -e)
-        total += term
-    return total
+        for ms in itertools.combinations(range(1, top), len(inner)):
+            term = last[top]
+            for w, m in zip(inner, ms):
+                term *= w[m]
+            total += term
+    return Fraction(total, denominator)
 
 
 def B_symbolic(n: int) -> DirichletPolynomial:

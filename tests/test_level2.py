@@ -1,5 +1,6 @@
 """Parity-level analogues: series structure, psi routes, quadrature."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 import akzkit
-from akzkit import ak_zeta
+from akzkit import ak_zeta, mzv_numeric
 from akzkit.level2 import (
     ath_coeffs,
     ath_series_identities,
@@ -104,6 +105,21 @@ def test_both_levels_catch_a_fault_in_a_shared_formula(helper, monkeypatch):
         monkeypatch.setattr(module, helper, faulty)
     assert any(r.failed for r in ak_zeta.xi_family_crosscheck())
     assert any(r.failed for r in psi_formula_crosscheck(max_r=2, max_k=2, m_values=(2,)))
+
+
+@pytest.mark.parametrize("branch", ["series", "exp_series"])
+def test_psi_check_fails_on_a_nudged_near_one_coefficient(branch, monkeypatch):
+    # One coefficient of either fixed-point table of polylog_near_one,
+    # off by one part in a million, must show in the quadrature's row.
+    table = mzv_numeric._near_one_table(2)
+    series = getattr(table, branch)
+    coeffs = list(series.coeffs)
+    j = 0 if branch == "series" else 1
+    coeffs[j] += coeffs[j] // 10**6
+    nudged = dataclasses.replace(table, **{branch: dataclasses.replace(series, coeffs=tuple(coeffs))})
+    monkeypatch.setitem(mzv_numeric._near_one_tables, 2, nudged)
+    reports = psi_depth1_integral_check(k_values=(2,), s_values=(1,))
+    assert [r.status for r in reports] == ["fail"]
 
 
 def test_height_one_duality_battery():

@@ -1,13 +1,17 @@
 """Numeric evaluation with error bounds: zeta values, parity-restricted
 sums, the polylogarithm near 1, and the deliberate-fault switch."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import akzkit
 from akzkit import mzv_numeric
 from akzkit.index_algebra import dual
 from akzkit.mzv_numeric import (
@@ -126,20 +130,32 @@ def test_divergent_inputs_raise_pole_error(call):
         call()
 
 
+# Below u = 1 the series in u; at and above it the series in q = e^(-u).
+# Both cover the range the psi quadrature uses: about 1e-26 to 0.77 for u
+# and twice that for 2u.
+_NEAR_ONE_SERIES_U = ("1e-20", "1e-6", "1e-3", "0.05", "0.4", "0.77", "0.999", "0.999999")
+_NEAR_ONE_EXP_U = ("1.0", "1.0001", "1.54", "2.0", "8.0", "30")
+
+
+def _within_polylog_bound(k, u):
+    # The reference carries twice the working precision and more, so its
+    # own error is far below the bound under test.
+    got = polylog_near_one(k, u)
+    with mpmath.workprec(2 * current_precision() + 64):
+        ref = mpmath.polylog(k, mpmath.exp(-u))
+        return abs(got.value - ref) <= got.error_bound
+
+
 def test_polylog_near_one_series_side():
-    for u in (1e-6, 0.05, 0.4, 0.999, 0.999999):
+    for u in _NEAR_ONE_SERIES_U:
         for k in (2, 3, 4, 5):
-            got = polylog_near_one(k, mpmath.mpf(u))
-            ref = mpmath.polylog(k, mpmath.e ** mpmath.mpf(-u))
-            assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -180
+            assert _within_polylog_bound(k, mpmath.mpf(u)), (k, u)
 
 
 def test_polylog_near_one_exponential_side():
-    for u in (1.0, 1.0001, 2.0, 8.0):
+    for u in _NEAR_ONE_EXP_U:
         for k in (2, 3, 4, 5):
-            got = polylog_near_one(k, mpmath.mpf(u))
-            ref = mpmath.polylog(k, mpmath.e ** mpmath.mpf(-u))
-            assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -180
+            assert _within_polylog_bound(k, mpmath.mpf(u)), (k, u)
 
 
 def test_polylog_near_one_builds_its_table_once_per_k(monkeypatch):
@@ -151,11 +167,36 @@ def test_polylog_near_one_builds_its_table_once_per_k(monkeypatch):
 
     monkeypatch.setattr(mzv_numeric, "mzv", forbidden)
     monkeypatch.setattr(mzv_numeric, "zeta_nonpositive", forbidden)
-    for u in ("0.01", "0.77", "1.3", "5"):
-        got = polylog_near_one(4, mpmath.mpf(u))
-        ref = mpmath.polylog(4, mpmath.e ** -mpmath.mpf(u))
-        assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -180
+    for u in ("1e-20", "0.01", "0.77", "1.3", "1.54", "5", "30"):
+        assert _within_polylog_bound(4, mpmath.mpf(u)), u
     assert list(mzv_numeric._near_one_tables) == [4]
+
+
+def test_polylog_near_one_bounds_hold_at_64_bits():
+    # The fixed-point width and the rounding count follow the precision,
+    # so the bounds are checked again in a fresh process at the lowest one.
+    script = (
+        "import mpmath\n"
+        "from akzkit import configure\n"
+        "from akzkit.mzv_numeric import polylog_near_one\n"
+        "configure(64)\n"
+        f"for u in {_NEAR_ONE_SERIES_U + _NEAR_ONE_EXP_U!r}:\n"
+        "    u = mpmath.mpf(u)\n"
+        "    for k in (2, 3, 4, 5):\n"
+        "        got = polylog_near_one(k, u)\n"
+        "        with mpmath.workprec(2 * 64 + 64):\n"
+        "            ref = mpmath.polylog(k, mpmath.exp(-u))\n"
+        "            assert abs(got.value - ref) <= got.error_bound, (k, u)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_nan_arguments_raise_value_error():

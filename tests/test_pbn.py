@@ -1,5 +1,7 @@
 """Poly-Bernoulli numbers: sentinel values, dualities, and the oracles."""
 
+import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -89,6 +91,75 @@ def test_multi_index_series_matches_brute_force(kind, index):
         assert multi_poly_bernoulli(n, index, kind) == multi_poly_bernoulli_brute(
             n, index, kind
         ), (kind, index, n)
+
+
+def _stirling_rows(last: int) -> list[list[int]]:
+    # S(n+1, m) = m S(n, m) + S(n, m-1), from S(0, 0) = 1.
+    rows = [[1]]
+    for n in range(last):
+        prev = rows[-1] + [0]
+        rows.append([m * prev[m] + (prev[m - 1] if m else 0) for m in range(n + 2)])
+    return rows
+
+
+_STIRLING = _stirling_rows(10)
+
+
+def _tuple_sum(n, index, kind):
+    # The brute-force sum written out in Fractions, term by term.
+    total = Fraction(0)
+    for ms in itertools.combinations(range(1, n + 2), len(index)):
+        top = ms[-1]
+        s = _STIRLING[n][top - 1] if kind == "B" else _STIRLING[n + 1][top]
+        term = Fraction((-1) ** (n + top + 1) * math.factorial(top - 1) * s)
+        for m, e in zip(ms, index):
+            term *= Fraction(m) ** -e
+        total += term
+    return total
+
+
+_BRUTE_INDICES = (
+    [(e,) for e in range(-4, 5)]
+    + list(itertools.product(range(-4, 5), repeat=2))
+    + list(itertools.product((-4, -1, 0, 1, 3), repeat=3))
+)
+
+
+def test_brute_force_matches_the_tuple_sum_in_fractions():
+    for index in _BRUTE_INDICES:
+        for kind in ("B", "C"):
+            for n in range(9):
+                assert multi_poly_bernoulli_brute(n, index, kind) == _tuple_sum(n, index, kind), (
+                    index,
+                    kind,
+                    n,
+                )
+
+
+def test_brute_force_uses_no_series_code(monkeypatch):
+    cases = [(n, index, kind) for n in (0, 3, 8) for index in _BRUTE_INDICES[::7] for kind in "BC"]
+    before = [multi_poly_bernoulli_brute(*case) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the brute-force oracle called series code")
+
+    for name in ("exact_power", "mpl_coeffs", "compose_one_minus_exp"):
+        monkeypatch.setattr(pbn, name, forbidden)
+    assert [multi_poly_bernoulli_brute(*case) for case in cases] == before
+
+
+def test_multi_oracle_check_fails_on_a_nudged_brute_weight(monkeypatch):
+    clean = pbn._brute_weights
+
+    def nudged(n, index, kind):
+        weights, denominator = clean(n, index, kind)
+        weights[-1][-1] += 1
+        return weights, denominator
+
+    monkeypatch.setattr(pbn, "_brute_weights", nudged)
+    reports = pbn.multi_oracle_check(max_depth=2, max_n=6)
+    assert reports
+    assert all(r.failed for r in reports)
 
 
 def test_multi_index_depth_one_reduces_to_the_plain_numbers():
