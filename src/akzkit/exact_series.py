@@ -5,12 +5,19 @@ series with Fraction coefficients, composition with 1 - e^(s*t), multiple
 polylogarithm coefficient tables for arbitrary integer exponents, and the
 closed form P(z)/(1-z)^d of a multiple polylogarithm at nonpositive
 exponents, together with a certificate checker for that closed form.
+
+Fraction is the currency of the API only.  The hot loops (series
+products, composition with 1 - e^(s*t), the polylogarithm tables and the
+Taylor expansion of the closed forms) run in Python ints over one common
+denominator and build one Fraction per output coefficient; the closed
+forms' numerators are integral and are built in ints throughout.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +38,13 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _over_common_denominator(coeffs) -> tuple[int, list[int]]:
+    """(D, [c * D for c in coeffs]) with D the lcm of the denominators, so
+    that sums of products can run in ints and be divided once."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 @dataclass(frozen=True)
@@ -87,15 +101,13 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         cap = min(self.cap, other.cap)
-        out = [_ZERO] * (cap + 1)
-        for i, a in enumerate(self.coeffs[: cap + 1]):
-            if not a:
-                continue
-            for j in range(cap + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        a_den, a = _over_common_denominator(self.coeffs[: cap + 1])
+        b_den, b = _over_common_denominator(other.coeffs[: cap + 1])
+        # Coefficient n pairs a[i] with b[n - i], which is reversed_b[cap - n + i].
+        reversed_b = b[::-1]
+        out = [sum(map(operator.mul, a[: n + 1], reversed_b[cap - n :])) for n in range(cap + 1)]
+        den = a_den * b_den
+        return TruncatedSeries(tuple(Fraction(c, den) for c in out))
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Long division; the divisor must have a nonzero constant term.
@@ -189,10 +201,8 @@ def compose_one_minus_exp(a: TruncatedSeries, sign: int, cap: int) -> TruncatedS
         raise ValueError(f"outer series cap {a.cap} is below requested cap {cap}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    # Sum over one common denominator so the inner loop is integer arithmetic.
-    outer = a.coeffs[: cap + 1]
-    den = math.lcm(*(c.denominator for c in outer))
-    signed = [(-1) ** m * c.numerator * (den // c.denominator) for m, c in enumerate(outer)]
+    den, outer = _over_common_denominator(a.coeffs[: cap + 1])
+    signed = [(-1) ** m * c for m, c in enumerate(outer)]
     out = []
     for n, row in enumerate(_ordered_bell_rows(cap)):
         total = sum(c * t for c, t in zip(signed, row))
@@ -223,17 +233,27 @@ def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:
     """
     if not exponents:
         raise ValueError("need at least one exponent")
-    h = [_ZERO] * (cap + 1)
-    for m in range(1, cap + 1):
-        h[m] = exact_power(m, -exponents[0])
-    for e in exponents[1:]:
-        running = _ZERO
-        nxt = [_ZERO] * (cap + 1)
-        for m in range(1, cap + 1):
-            running += h[m - 1]
-            nxt[m] = exact_power(m, -e) * running
+    # Work in ints over one denominator D, the product over e > 0 of L^e
+    # with L = lcm(1, ..., cap): m^(-e) is (L // m)^e / L^e for e > 0.
+    lcm = math.lcm(*range(1, cap + 1))
+    den = 1
+    # h holds the coefficients of the sum so far times den, the part of D
+    # taken so far.  It starts as the empty sum 1, so the first exponent
+    # takes the same step as the rest.
+    h = [1] + [0] * cap
+    for e in exponents:
+        if e > 0:
+            den *= lcm**e
+            weights = [(lcm // m) ** e for m in range(1, cap + 1)]
+        else:
+            weights = [m**-e for m in range(1, cap + 1)]
+        running = 0
+        nxt = [0]
+        for w, c in zip(weights, h):
+            running += c
+            nxt.append(w * running)
         h = nxt
-    return TruncatedSeries(tuple(h))
+    return TruncatedSeries(tuple(Fraction(c, den) for c in h))
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,13 +300,16 @@ class RationalFunctionRep:
         d = self.pole_order
         if d == 0:
             return TruncatedSeries.from_list(list(self.numerator), cap)
-        out = [_ZERO] * (cap + 1)
-        for i, p in enumerate(self.numerator):
-            if not p or i > cap:
-                continue
-            for n in range(i, cap + 1):
-                out[n] += p * math.comb(n - i + d - 1, d - 1)
-        return TruncatedSeries(tuple(out))
+        # 1/(1-z)^d = sum_m C(m + d - 1, d - 1) z^m, summed in ints over the
+        # numerator's common denominator.
+        den, numerator = _over_common_denominator(self.numerator)
+        binomials = [math.comb(m + d - 1, d - 1) for m in range(cap + 1)]
+        out = [0] * (cap + 1)
+        for i, p in enumerate(numerator[: cap + 1]):
+            if p:
+                for n in range(i, cap + 1):
+                    out[n] += p * binomials[n - i]
+        return TruncatedSeries(tuple(Fraction(c, den) for c in out))
 
 
 def negative_mpl(parts: tuple[int, ...]) -> RationalFunctionRep:
@@ -297,18 +320,19 @@ def negative_mpl(parts: tuple[int, ...]) -> RationalFunctionRep:
     degree w+r-1 (or r when all parts vanish) and is divisible by z^r.
     """
     parts = require_signed_parts(parts)
-    poly: list[Fraction] = [_ONE]
+    # Both steps keep P integral, so it is built in ints.
+    poly = [1]
     d = 0
     for p in parts:
         # Append a fresh summation variable: multiply by z/(1-z).
-        poly = [_ZERO] + poly
+        poly = [0] + poly
         d += 1
         for _ in range(p):
             # z*d/dz of P/(1-z)^d is Q/(1-z)^(d+1), q_n = n p_n + (d-n+1) p_(n-1).
-            pairs = zip(poly + [_ZERO], [_ZERO] + poly)
+            pairs = zip(poly + [0], [0] + poly)
             poly = [n * c + (d - n + 1) * prev for n, (c, prev) in enumerate(pairs)]
             d += 1
-    return RationalFunctionRep(_poly_trim(poly), d)
+    return RationalFunctionRep(_poly_trim([Fraction(c) for c in poly]), d)
 
 
 def negative_mpl_certificate_check(max_total: int = 10, taylor_cap: int = 25) -> list[VerificationReport]:

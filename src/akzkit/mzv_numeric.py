@@ -13,10 +13,16 @@ and dt/(1-t^a) (symbol a).  An index (k_1, ..., k_r) maps to the word
 a = 2 at level two; the level-two form introduces the parity pattern
 m_i = i mod 2 in the underlying sums.  Both levels share one engine.
 
+The path split of an index needs the values of every suffix of two words,
+the word itself and its reversed, letter-swapped form.  Each suffix is the
+next shorter one with one more outer symbol, so each of the two words is
+built as one chain of symbol steps, and each suffix is evaluated on the
+chain's coefficient list.  No coefficient list outlives the split.
+
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
 name it.  Three caches keep what is asked for again: the value of each word
-integral at its point and cap, each path-split result, and, per k, the
+integral at its exact point, each path-split result, and, per k, the
 u-independent coefficients of polylog_near_one.  The last is keyed on k
 alone for the same reason: every entry is built after the lock.
 """
@@ -114,7 +120,7 @@ def _mpf(x: Any):
 def _smear(value) -> Any:
     # Generous cover for accumulated rounding: dozens of guard bits below
     # working precision, far under every tolerance used by the checks.
-    return (abs(value) + 1) * mpmath.mpf(2) ** (40 - _state["prec"])
+    return mpmath.ldexp(abs(value) + 1, 40 - _state["prec"])
 
 
 @dataclass(frozen=True)
@@ -173,27 +179,23 @@ def _word(parts: tuple[int, ...], letter: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _tail_series(word: tuple[int, ...], cap: int) -> tuple:
-    """Taylor coefficients (as mpf, indices 0..cap) of the iterated
-    integral along the word, innermost form last."""
-    coeffs = [mpmath.mpf(0)] * (cap + 1)
-    coeffs[0] = mpmath.mpf(1)
-    for sym in reversed(word):
-        if sym == 0:
-            if coeffs[0]:
-                raise PoleError(f"word {word!r} is not integrable at the origin")
-            coeffs = [mpmath.mpf(0)] + [coeffs[n] / n for n in range(1, cap + 1)]
-        else:
-            # dt/(1-t^sym): coefficient n sums the coefficients m < n with
-            # m = n-1 mod sym, so run one sum per residue class.
-            nxt = [mpmath.mpf(0)] * (cap + 1)
-            for first in range(1, sym + 1):
-                running = mpmath.mpf(0)
-                for n in range(first, cap + 1, sym):
-                    running += coeffs[n - 1]
-                    nxt[n] = running / n
-            coeffs = nxt
-    return tuple(coeffs)
+def _symbol_step(coeffs: list, sym: int) -> list:
+    """Taylor coefficients (as mpf) of the integral of the form `sym`
+    applied to the series with coefficients `coeffs`, at the same cap.
+    Coefficient n uses only coefficients below n, so a longer list gives
+    the same values at every shared index."""
+    cap = len(coeffs) - 1
+    if sym == 0:
+        return [mpmath.mpf(0)] + [coeffs[n] / n for n in range(1, cap + 1)]
+    # dt/(1-t^sym): coefficient n sums the coefficients m < n with
+    # m = n-1 mod sym, so run one sum per residue class.
+    nxt = [mpmath.mpf(0)] * (cap + 1)
+    for first in range(1, sym + 1):
+        running = mpmath.mpf(0)
+        for n in range(first, cap + 1, sym):
+            running += coeffs[n - 1]
+            nxt[n] = running / n
+    return nxt
 
 
 def _series_cap_for(z, ones: int) -> int:
@@ -205,17 +207,9 @@ def _series_cap_for(z, ones: int) -> int:
     return max(cap, 96)
 
 
-def _word_value(word: tuple[int, ...], z) -> tuple:
-    """(value, rigorous tail + rounding bound) of the word integral at z."""
-    if not word:
-        return (mpmath.mpf(1), mpmath.mpf(0))
-    ones = sum(1 for s in word if s != 0)
-    cap = _series_cap_for(z, ones)
-    key = (word, str(z), cap)
-    hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
-    coeffs = _tail_series(word, cap)
+def _series_value(coeffs: list, cap: int, ones: int, z) -> tuple:
+    """(value, rigorous tail + rounding bound) at z of the series through
+    t^cap, for a word with `ones` nonzero symbols."""
     value = mpmath.mpf(0)
     for n in range(cap, 0, -1):
         value = value * z + coeffs[n]
@@ -224,9 +218,40 @@ def _word_value(word: tuple[int, ...], z) -> tuple:
     if rho >= 1:
         raise RuntimeError("series cap too small for this evaluation point")
     tail = math.comb(cap, max(ones - 1, 0)) * abs(z) ** (cap + 1) / (1 - rho)
-    out = (value, tail + _smear(value))
-    _value_cache[key] = out
-    return out
+    return (value, tail + _smear(value))
+
+
+def _suffix_values(word: tuple[int, ...], z, starts) -> list[tuple]:
+    """(value, bound) at z of the word integral of word[j:] for each j in
+    `starts`.
+
+    The suffixes form one chain: word[j:] is word[j+1:] with one more
+    outer symbol.  So the words not in _value_cache are built in one pass
+    from the innermost symbol outwards, at the cap of the longest of them,
+    and each is evaluated at its own cap on that list.  Since coefficient
+    n never depends on the cap, each value is the one its word would get
+    alone."""
+    point = z._mpf_
+    out: dict[int, tuple] = {}
+    missing: dict[int, tuple[int, int]] = {}  # j -> (cap, ones)
+    for j in starts:
+        hit = _value_cache.get((word[j:], point)) if j < len(word) else (mpmath.mpf(1), mpmath.mpf(0))
+        if hit is not None:
+            out[j] = hit
+        else:
+            ones = sum(1 for s in word[j:] if s != 0)
+            missing[j] = (_series_cap_for(z, ones), ones)
+    if missing:
+        # Only the innermost form can meet a nonzero constant term.
+        if word[-1] == 0:
+            raise PoleError(f"word {word!r} is not integrable at the origin")
+        coeffs = [mpmath.mpf(1)] + [mpmath.mpf(0)] * max(cap for cap, _ in missing.values())
+        for j in range(len(word) - 1, min(missing) - 1, -1):
+            coeffs = _symbol_step(coeffs, word[j])
+            if j in missing:
+                cap, ones = missing[j]
+                out[j] = _value_cache[(word[j:], point)] = _series_value(coeffs, cap, ones, z)
+    return [out[j] for j in starts]
 
 
 def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
@@ -244,16 +269,21 @@ def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
         return hit
     word = _word(parts, letter)
     point = mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
+    # The lower pieces are the reversed, letter-swapped prefixes: prefix j
+    # is suffix L - j of the swapped word, so both sides are suffix chains.
+    length = len(word)
+    upper = _suffix_values(word, point, range(length + 1))
+    lower = _suffix_values(tuple(letter - s for s in reversed(word)), point, range(length + 1))
     total = mpmath.mpf(0)
     bound = mpmath.mpf(0)
     # The level-two involution carries dt/t to 2 dt/(1-t^2) and
     # dt/(1-t^2) to dt/(2t); at level one the forms swap with factor 1.
     factor = mpmath.mpf(1)
-    for j in range(len(word) + 1):
+    for j in range(length + 1):
         if j > 0 and letter == 2:
             factor *= 2 if word[j - 1] == 0 else mpmath.mpf(1) / 2
-        a, ea = _word_value(tuple(letter - s for s in reversed(word[:j])), point)
-        b, eb = _word_value(word[j:], point)
+        a, ea = lower[length - j]
+        b, eb = upper[j]
         total += factor * a * b
         bound += factor * (abs(a) * eb + abs(b) * ea + ea * eb)
     res = EvalResult(total, bound + _smear(total), "path-split-convolution")
@@ -314,7 +344,7 @@ def mpl_numeric(k, z) -> EvalResult:
         raise ValueError("evaluation point must satisfy |z| <= 0.95")
     if zv == 0:
         return exact_result(0, "series")
-    value, err = _word_value(_word(parts, 1), zv)
+    ((value, err),) = _suffix_values(_word(parts, 1), zv, (0,))
     return EvalResult(value, err, "series")
 
 

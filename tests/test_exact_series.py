@@ -1,5 +1,6 @@
 """Exact power-series arithmetic and the closed rational forms built on it."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -158,6 +159,65 @@ def test_mpl_coeffs_allows_zero_and_negative_exponents():
     for n in range(2, 6):
         expected = sum(Fraction(n) for _ in range(1, n))
         assert got[n] == expected
+
+
+def _mpl_reference(exponents, cap):
+    # The nested sum one summation variable at a time, in Fractions:
+    # h_i(m) = m^(-e_i) * sum over m' < m of h_(i-1)(m'), from h_0 = 1 at 0.
+    h = [Fraction(1)] + [Fraction(0)] * cap
+    for e in exponents:
+        running = Fraction(0)
+        nxt = [Fraction(0)]
+        for m in range(1, cap + 1):
+            running += h[m - 1]
+            nxt.append(running / Fraction(m) ** e)
+        h = nxt
+    return tuple(h)
+
+
+_MIXED_DEPTH_THREE = ((4, -3, 2), (-1, 3, -2), (2, 0, 1), (-3, -3, 4), (4, 4, 4), (-3, -3, -3), (0, -2, 0), (1, 1, 1))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 7, 30])
+def test_mpl_coeffs_matches_the_nested_sum_in_fractions(cap):
+    exponents = range(-3, 5)
+    indices = [(e,) for e in exponents] + list(itertools.product(exponents, repeat=2)) + list(_MIXED_DEPTH_THREE)
+    for index in indices:
+        got = mpl_coeffs(index, cap).coeffs
+        assert got == _mpl_reference(index, cap), index
+        assert all(type(c) is Fraction for c in got), index
+
+
+def test_product_matches_the_schoolbook_product_in_fractions():
+    # Unlike denominators, zero coefficients (leading, inner and trailing),
+    # unlike caps, and an all-zero series.
+    a = TruncatedSeries.from_list([Fraction(1, 3), 0, Fraction(-5, 6), Fraction(7, 10), 0, Fraction(2, 9)])
+    b = TruncatedSeries.from_list([0, Fraction(4, 7), Fraction(-1, 8), 0, Fraction(3, 5)], cap=7)
+    c = TruncatedSeries.from_list([2, -3, 0, 5, 1, 0, 0, 11])
+    zero = TruncatedSeries.zero(4)
+    for x, y in itertools.product((a, b, c, zero), repeat=2):
+        cap = min(x.cap, y.cap)
+        want = tuple(
+            sum((x.coeffs[i] * y.coeffs[n - i] for i in range(n + 1)), Fraction(0)) for n in range(cap + 1)
+        )
+        got = (x * y).coeffs
+        assert got == want, (x, y)
+        assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 9])
+def test_taylor_coefficients_of_a_fractional_numerator(cap):
+    # Every certificate numerator is integral, so only a numerator like
+    # this one exercises the common denominator.
+    numerator = (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 7), Fraction(-1, 12))
+    for d in (0, 1, 2, 4):
+        # Dividing by 1 - z is a running sum; do it d times.
+        want = list(numerator[: cap + 1]) + [Fraction(0)] * (cap + 1 - len(numerator))
+        for _ in range(d):
+            want = list(itertools.accumulate(want))
+        got = RationalFunctionRep(numerator, d).taylor_coefficients(cap).coeffs
+        assert got == tuple(want), d
+        assert all(type(v) is Fraction for v in got), d
 
 
 def test_stirling2_small_table():

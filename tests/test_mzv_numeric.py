@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import akzkit
 from akzkit import mzv_numeric
-from akzkit.index_algebra import dual
+from akzkit.index_algebra import dual, indices_up_to_weight, weight
 from akzkit.mzv_numeric import (
     EvalResult,
     PoleError,
@@ -212,6 +212,60 @@ def test_small_polylog_values():
     assert abs(got.value - ref) <= got.error_bound + mpmath.mpf(2) ** -200
     with pytest.raises(ValueError):
         mpl_numeric((2,), 0.99)
+
+
+def test_word_values_are_cached_on_the_exact_point(monkeypatch):
+    # Two points that print alike at the working precision must not share
+    # a cache entry.
+    third = mpmath.mpf(1) / 3
+    near = third + mpmath.ldexp(1, -current_precision())
+    assert near != third and str(near) == str(third)
+    monkeypatch.setattr(mzv_numeric, "_value_cache", {})
+    cold = mpl_numeric((2,), near)
+    monkeypatch.setattr(mzv_numeric, "_value_cache", {})
+    at_third = mpl_numeric((2,), third)
+    warm = mpl_numeric((2,), near)
+    assert warm.value != at_third.value
+    assert (warm.value, warm.error_bound) == (cold.value, cold.error_bound)
+
+
+def _count_symbol_steps(monkeypatch) -> list:
+    steps = []
+    step = mzv_numeric._symbol_step
+
+    def counting(coeffs, sym):
+        steps.append(sym)
+        return step(coeffs, sym)
+
+    monkeypatch.setattr(mzv_numeric, "_symbol_step", counting)
+    return steps
+
+
+@pytest.mark.parametrize("evaluate", [mzv, t0_value], ids=["mzv", "t0_value"])
+@pytest.mark.parametrize("k", [(2,), (1, 3), (2, 1, 3), (1, 1, 2, 3)])
+def test_a_cold_path_split_builds_each_chain_once(monkeypatch, evaluate, k):
+    # A word of length L has L suffixes and so does its swapped reverse;
+    # built one word at a time they would cost about L^2 steps.
+    steps = _count_symbol_steps(monkeypatch)
+    monkeypatch.setattr(mzv_numeric, "_value_cache", {})
+    monkeypatch.setattr(mzv_numeric, "_result_cache", {})
+    evaluate(k)
+    assert 0 < len(steps) <= 2 * weight(k)
+
+
+def test_every_cached_word_value_is_the_value_of_that_word_alone(monkeypatch):
+    monkeypatch.setattr(mzv_numeric, "_value_cache", {})
+    monkeypatch.setattr(mzv_numeric, "_result_cache", {})
+    for k in indices_up_to_weight(7):
+        if k[-1] >= 2:
+            mzv(k)
+            t0_value(k)
+    swept = dict(mzv_numeric._value_cache)
+    assert len(swept) > 100
+    for (word, point), (value, bound) in swept.items():
+        mzv_numeric._value_cache.clear()
+        ((alone, alone_bound),) = mzv_numeric._suffix_values(word, mpmath.mpf(point), (0,))
+        assert (alone._mpf_, alone_bound._mpf_) == (value._mpf_, bound._mpf_), word
 
 
 def test_bernoulli_values():
