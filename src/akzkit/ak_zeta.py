@@ -222,9 +222,7 @@ def xi_explicit_family(index, m: int) -> EvalResult:
 # Low-accuracy series oracles built from harmonic iterates.
 
 
-# One list G_0, G_1, ... per cutoff, as long as any caller has asked.  A
-# longer list replaces a shorter one whole, so that a concurrent reader
-# never sees a list that is only partly grown.
+# One list G_0, G_1, ... per cutoff, as long as any caller has asked.
 _g_table_cache: dict[int, list] = {}
 
 
@@ -235,16 +233,14 @@ def _g_tables(max_order: int, cutoff: int) -> list:
 
     tables = _g_table_cache.get(cutoff)
     if tables is None:
-        tables = [np.ones(cutoff + 1)]
+        tables = _g_table_cache[cutoff] = [np.ones(cutoff + 1)]
         tables[0][0] = 0.0
     elif len(tables) > max_order:
         return tables
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    tables = list(tables)
     while len(tables) <= max_order:
         tables.append(np.cumsum(tables[-1] * inv))
-    _g_table_cache[cutoff] = tables
     return tables
 
 

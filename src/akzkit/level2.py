@@ -295,58 +295,48 @@ def t_binomial_identity_check(
     return log.rows
 
 
-def psi_depth1_integral(k: int, s: int, upper: float = 60.0, maxdegree: int = 8) -> EvalResult:
-    """psi(k; s) for depth one by direct quadrature of the hyperbolic
-    integral, split at t = 1.
+# Where the quadrature stops, and the depth of mpmath's tanh-sinh rule.
+_UPPER = 60
+_MAXDEGREE = 8
 
-    Below the split the level-two series converges fast in tanh(t/2);
-    above it the integrand is rebuilt from the polylogarithm near 1 via
-    u = 2 arctanh(e^(-t)), which avoids cancellation for large t.  The
-    discarded range beyond `upper` is covered by an explicit
-    incomplete-gamma bound.
+
+def psi_depth1_integral(k: int, s: int) -> EvalResult:
+    """psi(k; s) for depth one by direct quadrature of the hyperbolic
+    integral.
+
+    The integrand takes Ath(k; tanh(t/2)) = Li_k(e^(-u)) - 2^(-k)
+    Li_k(e^(-2u)) from the polylogarithm near 1, with u = -log tanh(t/2)
+    written as 2 arctanh(e^(-t)) from t = 1 on, which avoids cancellation
+    for large t.  The discarded range beyond _UPPER is covered by an
+    explicit incomplete-gamma bound.
 
     The rest of the error bound is not rigorous.  It is mpmath's own
     tanh-sinh error estimate, taken with a safety factor of ten, plus a
-    flat 1e-40 that stands in for the series truncation below the split
-    and for the error bounds of the polylogarithm values above it, which
-    are dropped.
+    flat 1e-40 that stands in for the error bounds of the polylogarithm
+    values, which are dropped.
     """
     require_int(k, "k", 2)
     require_int(s, "s", 1)
-    # The tail bound needs zeta(k).  Evaluating it before either quad also
+    # The tail bound needs zeta(k).  Evaluating it before the quad also
     # pins the configured precision, which mpmath.quad saves and restores.
     zk = zeta(k)
-    cap = 140
-    series = [mpmath.mpf(c.numerator) / c.denominator for c in ath_coeffs((k,), cap).coeffs]
     gamma_s = math.factorial(s - 1)
 
-    def low(t):
-        z = mpmath.tanh(t / 2)
-        acc = mpmath.mpf(0)
-        for n in range(cap, 0, -1):
-            acc = acc * z + series[n]
-        acc *= z
-        return t ** (s - 1) * acc / mpmath.sinh(t)
-
-    def high(t):
-        u = 2 * mpmath.atanh(mpmath.e ** (-t))
+    def integrand(t):
+        if t < 1:
+            u = -mpmath.log(mpmath.tanh(t / 2))
+        else:
+            u = 2 * mpmath.atanh(mpmath.e ** (-t))
         ath = polylog_near_one(k, u).value - polylog_near_one(k, 2 * u).value / 2**k
         return t ** (s - 1) * ath / mpmath.sinh(t)
 
-    v1, e1 = mpmath.quad(low, [0, 1], error=True, maxdegree=maxdegree)
-    v2, e2 = mpmath.quad(high, [1, upper], error=True, maxdegree=maxdegree)
-    tail = (
-        4
-        * zk.value
-        / ((1 - mpmath.e**-2) * gamma_s)
-        * mpmath.gammainc(s, upper)
-    )
-    value = 2 * (v1 + v2) / gamma_s
-    # Series truncation below the split and polylogarithm bounds above it
-    # are orders of magnitude under the quadrature estimate; a flat cover
-    # for them rides along with the tenfold-inflated estimates.
-    bound = 2 * (10 * (e1 + e2) + mpmath.mpf(10) ** -40) / gamma_s + tail
-    return EvalResult(value, bound, "hyperbolic-quadrature")
+    v, e = mpmath.quad(integrand, [0, 1, _UPPER], error=True, maxdegree=_MAXDEGREE)
+    tail = 4 * zk.value / ((1 - mpmath.e**-2) * gamma_s) * mpmath.gammainc(s, _UPPER)
+    # The polylogarithm bounds are orders of magnitude under the
+    # quadrature estimate; a flat cover for them rides along with the
+    # tenfold-inflated estimate.
+    bound = 2 * (10 * e + mpmath.mpf(10) ** -40) / gamma_s + tail
+    return EvalResult(2 * v / gamma_s, bound, "hyperbolic-quadrature")
 
 
 def psi_depth1_integral_check(

@@ -195,7 +195,7 @@ def test_harmonic_tables_serve_every_order_from_one_list(monkeypatch):
         patch.setattr(numpy, "cumsum", no_build)
         low = ak_zeta._g_tables(1, 1000)
     assert all(a is b for a, b in zip(low, high))
-    # Growing publishes a new list and leaves the one handed out whole.
+    # Growing extends the list already handed out.
     higher = ak_zeta._g_tables(4, 1000)
-    assert all(a is b for a, b in zip(higher, high))
-    assert (len(high), len(higher)) == (4, 5)
+    assert higher is high
+    assert len(higher) == 5

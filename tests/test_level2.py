@@ -178,7 +178,7 @@ def test_quadrature_first_in_a_fresh_process_keeps_the_configured_precision():
         "import mpmath\n"
         "from akzkit import current_precision\n"
         "from akzkit.level2 import psi_at_positive, psi_depth1_integral\n"
-        "got = psi_depth1_integral(2, 1, maxdegree=3)\n"
+        "got = psi_depth1_integral(2, 1)\n"
         "assert mpmath.mp.prec == current_precision(), (mpmath.mp.prec, current_precision())\n"
         "want = psi_at_positive(1, 2, 1)\n"
         "assert abs(got.value - want.value) <= got.error_bound + want.error_bound\n"

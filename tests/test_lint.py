@@ -1,6 +1,10 @@
 """Every import is used: no module under src/akzkit or tests binds an
 imported name that it never reads.  Names listed in `__all__` and
-`from __future__` imports are exempt."""
+`from __future__` imports are exempt.
+
+Every private helper is used: each module-level function or class of
+src/akzkit whose name starts with an underscore is read somewhere in
+src/akzkit outside its own definition."""
 
 import ast
 import pathlib
@@ -8,7 +12,8 @@ import pathlib
 import pytest
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
-_MODULES = sorted((_ROOT / "src" / "akzkit").glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
+_PACKAGE = sorted((_ROOT / "src" / "akzkit").glob("*.py"))
+_MODULES = _PACKAGE + sorted((_ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -38,3 +43,40 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each private module-level def or class that no
+    module reads: not by name in its own module outside its own body,
+    not as `module.name`, and not through `from .module import name`."""
+    defined = set()
+    used = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined.add((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != owner:
+                    used.add((module, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    used.add((node.value.id, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    source_module = node.module.rsplit(".", 1)[-1]
+                    used.update((source_module, alias.name) for alias in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined - used)
+
+
+def test_the_scan_finds_a_dead_private_helper():
+    sources = {
+        "a": "def _dead():\n    return _dead()\ndef _kept():\n    pass\nclass _Imported:\n    pass\n",
+        "b": "from .a import _Imported\nfrom . import a\na._kept()\n",
+    }
+    assert _dead_private_helpers(sources) == ["a._dead"]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in _PACKAGE}
+    assert _dead_private_helpers(sources) == []

@@ -131,10 +131,12 @@ def test_divergent_inputs_raise_pole_error(call):
 
 
 # Below u = 1 the series in u; at and above it the series in q = e^(-u).
-# Both cover the range the psi quadrature uses: about 1e-26 to 0.77 for u
-# and twice that for 2u.
+# Together they cover the range the psi quadrature uses: u from about
+# 1e-26 (t near its upper end) to about 365 (t near 0), and twice that
+# for 2u.  At the top the exponential series needs only two terms and q
+# is below the fixed-point unit.
 _NEAR_ONE_SERIES_U = ("1e-20", "1e-6", "1e-3", "0.05", "0.4", "0.77", "0.999", "0.999999")
-_NEAR_ONE_EXP_U = ("1.0", "1.0001", "1.54", "2.0", "8.0", "30")
+_NEAR_ONE_EXP_U = ("1.0", "1.0001", "1.54", "2.0", "8.0", "30", "69.6", "365", "730")
 
 
 def _within_polylog_bound(k, u):
