@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact_series import TruncatedSeries, mpl_coeffs
+from .exact_series import TruncatedSeries, mpl_coeffs, negative_mpl
 from .index_algebra import (
     b_coefficient,
     compositions,
@@ -44,12 +44,7 @@ from .mzv_numeric import (
     sum_results,
     zeta,
 )
-from .pbn import (
-    B_symbolic,
-    DirichletPolynomial,
-    multi_poly_bernoulli,
-    negative_polylog_exp_form,
-)
+from .pbn import B_symbolic, DirichletPolynomial, multi_poly_bernoulli
 from .reports import NOT_COVERED, SKIPPED_POLE, RowLog, VerificationReport
 
 __all__ = [
@@ -134,14 +129,16 @@ def eta_nonpositive_value(k, m: int) -> Fraction:
 
 
 def _exp_form_quotient(parts: tuple[int, ...]) -> tuple[Fraction, ...]:
-    # Divide the exponential form A(x) by (x - 1); exact since A(1) = 0.
-    a = negative_polylog_exp_form(parts)
-    d = len(a) - 1
+    # The coefficients of Q(x) = A(x)/(x - 1), where A(x) is
+    # Li_{-parts}(1 - e^t) in x = e^(-t).  The closed form P(z)/(1-z)^d at
+    # z = (x-1)/x gives A(x) = sum_i p_i (x-1)^i x^(d-i), and z divides P,
+    # so Q(x) = sum_{i>=1} p_i (x-1)^(i-1) x^(d-i) exactly.
+    rep = negative_mpl(parts)
+    d = rep.pole_order
     q = [Fraction(0)] * d
-    carry = Fraction(0)
-    for j in range(d, 0, -1):
-        carry = a[j] + carry
-        q[j - 1] = carry
+    for i, p in enumerate(rep.numerator):
+        for j in range(i):
+            q[d - i + j] += p * math.comb(i - 1, j) * (-1) ** (i - 1 - j)
     return tuple(q)
 
 
@@ -255,8 +252,8 @@ def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     """
     import numpy as np
 
-    if min(k, n) < 1:
-        raise ValueError("both orders must be >= 1")
+    require_int(k, "k", 1)
+    require_int(n, "n", 1)
     tables = _g_tables(max(k, n) - 1, cutoff)
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
@@ -271,8 +268,8 @@ def xi_series_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     """Depth-one xi at (k, n) as sum_c G_(n-1)(c) / c^(k+1)."""
     import numpy as np
 
-    if min(k, n) < 1:
-        raise ValueError("both orders must be >= 1")
+    require_int(k, "k", 1)
+    require_int(n, "n", 1)
     tables = _g_tables(n - 1, cutoff)
     c = np.arange(cutoff + 1, dtype=np.float64)
     c[0] = 1.0

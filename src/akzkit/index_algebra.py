@@ -4,15 +4,28 @@ An index is a nonempty tuple of positive integers (k_1, ..., k_r).  Its
 weight is k_1 + ... + k_r, its depth is r, and it is admissible when the
 last entry is at least 2 (the convention throughout is that summation
 variables increase, m_1 < ... < m_r, so the last exponent controls
-convergence).  This module holds the pure combinatorics the rest of the
-package leans on: the k_+ operator, duality by binary-word reversal, the
-refinement partial order, composition and index enumeration, the
-product of binomial coefficients b(k; j) that appears in the finite
-evaluation formulas, and the integer validator every module uses.
+convergence).
+
+Each index has one binary word, the iterated integral it stands for,
+read from the outermost form in: 0 for dt/t and 1 for the letter form
+(dt/(1-t) at level one).  The parts give 0^(k_r - 1) 1 0^(k_(r-1) - 1)
+1 ... 0^(k_1 - 1) 1, so the word has length equal to the weight, one 1
+per part, and always ends in 1; the index is admissible exactly when
+the word starts with 0.  The dual index has the reversed word with 0
+and 1 swapped.  Turning 0s into 1s splits parts, so the refinements of
+an index are its word with any subset of 0s flipped, and its
+coarsenings are its word with any subset of 1s but the last flipped.
+
+This module holds the pure combinatorics the rest of the package leans
+on: that word and the maps read from it, the k_+ operator, composition
+and index enumeration, the product of binomial coefficients b(k; j)
+that appears in the finite evaluation formulas, and the integer
+validator every module uses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable
 
@@ -30,6 +43,7 @@ __all__ = [
     "require_integer_index",
     "is_admissible",
     "plus_one",
+    "word",
     "dual",
     "refinements",
     "coarsenings",
@@ -107,30 +121,36 @@ def plus_one(k: Iterable[int]) -> Index:
     return parts[:-1] + (parts[-1] + 1,)
 
 
-def _encode(parts: Index) -> str:
-    # Part p becomes one 'A' followed by p-1 'B's, reading the index left
-    # to right.  Words of admissible indices start with 'A' and end with 'B'.
-    return "".join("A" + "B" * (p - 1) for p in parts)
+def word(k: Iterable[int]) -> tuple[int, ...]:
+    """The binary word of an index, outermost symbol first: part k_i
+    becomes 0^(k_i - 1) 1, read from the last part to the first.
+
+    >>> word((1, 3))
+    (0, 0, 1, 1)
+    >>> word((2, 1))
+    (1, 0, 1)
+    """
+    return tuple(s for p in reversed(require_index(k)) for s in (0,) * (p - 1) + (1,))
 
 
-def _decode(word: str) -> Index:
-    if not word or word[0] != "A":
-        raise ValueError("malformed index word")
+def _unword(w: Iterable[int]) -> Index:
+    # Each 1 closes the run of 0s before it into one part, last part first.
     parts = []
-    run = 0
-    for ch in word:
-        if ch == "A":
-            if run:
-                parts.append(run)
+    run = 1
+    for s in w:
+        if s:
+            parts.append(run)
             run = 1
         else:
             run += 1
-    parts.append(run)
-    return tuple(parts)
+    if run != 1 or not parts:
+        raise ValueError("malformed index word")
+    return tuple(reversed(parts))
 
 
 def dual(k: Iterable[int]) -> Index:
-    """The dual index, via reversal of the binary-word encoding.
+    """The dual index: its word is the word of k reversed, with 0 and 1
+    swapped.
 
     Only admissible indices have duals; the map is an involution that
     preserves weight and satisfies depth(k) + depth(dual(k)) = weight(k).
@@ -143,9 +163,15 @@ def dual(k: Iterable[int]) -> Index:
     parts = require_index(k)
     if parts[-1] < 2:
         raise ValueError(f"dual requires an admissible index, got {parts!r}")
-    word = _encode(parts)
-    swapped = "".join("A" if ch == "B" else "B" for ch in reversed(word))
-    return _decode(swapped)
+    return _unword(1 - s for s in reversed(word(parts)))
+
+
+def _flips(k: Iterable[int], symbol: int) -> tuple[Index, ...]:
+    # Every index whose word is the word of k with any subset of its
+    # `symbol`s flipped, the final 1 excepted, sorted ascending.
+    w = word(k)
+    choices = [(s, 1 - s) if s == symbol else (s,) for s in w[:-1]] + [(1,)]
+    return tuple(sorted(_unword(v) for v in itertools.product(*choices)))
 
 
 def refinements(k: Iterable[int]) -> tuple[Index, ...]:
@@ -156,16 +182,7 @@ def refinements(k: Iterable[int]) -> tuple[Index, ...]:
     The result contains k itself, has exactly prod_i 2^(k_i - 1) members,
     and is sorted in ascending lexicographic order for reproducibility.
     """
-    parts = require_index(k)
-    results: list[Index] = [()]
-    for p in parts:
-        # The ordered sums of p: each composition of p - r into r
-        # nonnegative parts, with every part raised by one.
-        splits = [
-            tuple(c + 1 for c in comp) for r in range(1, p + 1) for comp in compositions(p - r, r)
-        ]
-        results = [acc + split for acc in results for split in splits]
-    return tuple(sorted(results))
+    return _flips(k, 0)
 
 
 def coarsenings(k: Iterable[int]) -> tuple[Index, ...]:
@@ -174,18 +191,7 @@ def coarsenings(k: Iterable[int]) -> tuple[Index, ...]:
     Inverse direction of :func:`refinements`; k' is a coarsening of k
     exactly when k is a refinement of k'.  Sorted ascending.
     """
-    parts = require_index(k)
-    r = len(parts)
-    out = set()
-    for mask in range(1 << (r - 1)):
-        merged = [parts[0]]
-        for i in range(1, r):
-            if mask >> (i - 1) & 1:
-                merged[-1] += parts[i]
-            else:
-                merged.append(parts[i])
-        out.add(tuple(merged))
-    return tuple(sorted(out))
+    return _flips(k, 1)
 
 
 def b_coefficient(k: Iterable[int], j: Iterable[int]) -> int:

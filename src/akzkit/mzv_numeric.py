@@ -8,13 +8,14 @@ tail estimate (the oracle).  Checks elsewhere compare the routes and
 treat the bounds as part of the pass criterion, never as decoration.
 
 Words here encode iterated integrals over the one-forms dt/t (symbol 0)
-and dt/(1-t^a) (symbol a).  An index (k_1, ..., k_r) maps to the word
-0^(k_r-1) a 0^(k_(r-1)-1) a ... with the letter a = 1 at level one and
-a = 2 at level two; the level-two form introduces the parity pattern
-m_i = i mod 2 in the underlying sums.  Both levels share one engine.
+and dt/(1-t^a) (symbol a).  An index maps to its binary word from
+index_algebra.word, outermost symbol first, with the letter 1 kept at
+level one and mapped to a = 2 at level two; the level-two form
+introduces the parity pattern m_i = i mod 2 in the underlying sums.
+Both levels share one engine.
 
 The path split of an index needs the values of every suffix of two words,
-the word itself and its reversed, letter-swapped form.  Each suffix is the
+the word of the index and the word of its dual.  Each suffix is the
 next shorter one with one more outer symbol, so each of the two words is
 built as one chain of symbol steps, and each suffix is evaluated on the
 chain's coefficient list.  No coefficient list outlives the split.
@@ -44,6 +45,7 @@ from .index_algebra import (
     require_index,
     require_int,
     weight,
+    word,
 )
 from .reports import RowLog
 
@@ -171,14 +173,6 @@ def sum_results(items: list[EvalResult], method: str = "composite") -> EvalResul
 # The word engine.
 
 
-def _word(parts: tuple[int, ...], letter: int) -> tuple[int, ...]:
-    w: list[int] = []
-    for p in reversed(parts):
-        w.extend([0] * (p - 1))
-        w.append(letter)
-    return tuple(w)
-
-
 def _symbol_step(coeffs: list, sym: int) -> list:
     """Taylor coefficients (as mpf) of the integral of the form `sym`
     applied to the series with coefficients `coeffs`, at the same cap.
@@ -267,13 +261,15 @@ def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
     hit = _result_cache.get(key)
     if hit is not None:
         return hit
-    word = _word(parts, letter)
     point = mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
-    # The lower pieces are the reversed, letter-swapped prefixes: prefix j
-    # is suffix L - j of the swapped word, so both sides are suffix chains.
-    length = len(word)
-    upper = _suffix_values(word, point, range(length + 1))
-    lower = _suffix_values(tuple(letter - s for s in reversed(word)), point, range(length + 1))
+    # The lower pieces are the prefixes of the reversed, letter-swapped
+    # word, which is the dual's word: prefix j is suffix L - j of it, so
+    # both sides are suffix chains.
+    upper_word = tuple(letter * s for s in word(parts))
+    lower_word = tuple(letter * s for s in word(dual(parts)))
+    length = len(upper_word)
+    upper = _suffix_values(upper_word, point, range(length + 1))
+    lower = _suffix_values(lower_word, point, range(length + 1))
     total = mpmath.mpf(0)
     bound = mpmath.mpf(0)
     # The level-two involution carries dt/t to 2 dt/(1-t^2) and
@@ -281,7 +277,7 @@ def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
     factor = mpmath.mpf(1)
     for j in range(length + 1):
         if j > 0 and letter == 2:
-            factor *= 2 if word[j - 1] == 0 else mpmath.mpf(1) / 2
+            factor *= 2 if upper_word[j - 1] == 0 else mpmath.mpf(1) / 2
         a, ea = lower[length - j]
         b, eb = upper[j]
         total += factor * a * b
@@ -344,7 +340,7 @@ def mpl_numeric(k, z) -> EvalResult:
         raise ValueError("evaluation point must satisfy |z| <= 0.95")
     if zv == 0:
         return exact_result(0, "series")
-    ((value, err),) = _suffix_values(_word(parts, 1), zv, (0,))
+    ((value, err),) = _suffix_values(word(parts), zv, (0,))
     return EvalResult(value, err, "series")
 
 

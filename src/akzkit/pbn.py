@@ -21,7 +21,6 @@ from .exact_series import (
     compose_one_minus_exp,
     exact_power,
     mpl_coeffs,
-    negative_mpl,
     one_minus_exp,
     stirling2,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "multi_poly_bernoulli_brute",
     "B_symbolic",
     "C_symbolic",
-    "negative_polylog_exp_form",
     "duality_check_B",
     "duality_check_C",
     "stirling_oracle_check",
@@ -237,29 +235,6 @@ def C_symbolic(n: int) -> DirichletPolynomial:
         if s:
             coeffs[m] = Fraction((-1) ** (n + m + 1) * math.factorial(m - 1) * s)
     return DirichletPolynomial.from_dict(coeffs)
-
-
-def negative_polylog_exp_form(parts: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Coefficients (d_0, ..., d_D) with
-    Li_{-parts}(1 - e^t) = sum_j d_j e^(-j*t), D = weight + depth.
-
-    Obtained by substituting z = (x-1)/x, x = e^(-t), into the closed
-    rational form P(z)/(1-z)^D and clearing denominators.  The value at
-    x = 1 always vanishes because z^depth divides P.
-    """
-    rep = negative_mpl(parts)
-    d = rep.pole_order
-    # x^d * P((x-1)/x) = sum_i p_i (x-1)^i x^(d-i), a polynomial in x.
-    acc = [_ZERO] * (d + 1)
-    for i, p in enumerate(rep.numerator):
-        if not p:
-            continue
-        # (x-1)^i expanded, then shifted by x^(d-i).
-        for j in range(i + 1):
-            acc[d - i + j] += p * math.comb(i, j) * (-1) ** (i - j)
-    if sum(acc) != 0:
-        raise AssertionError("exponential form must vanish at x = 1")
-    return tuple(acc)
 
 
 def duality_check_B(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:

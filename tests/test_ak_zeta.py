@@ -140,6 +140,13 @@ def test_series_oracle_batteries_pass_at_reduced_cutoff():
         assert not r.failed, r.one_line()
 
 
+@pytest.mark.parametrize("oracle", [ak_zeta.eta_symmetric_oracle, ak_zeta.xi_series_oracle])
+@pytest.mark.parametrize("k, n", [(1.5, 1), (1, 1.5), (1.5, 2), (True, True), (0, 1), (1, 0), ("1", 1)])
+def test_series_oracles_reject_non_integer_or_small_orders(oracle, k, n):
+    with pytest.raises(ValueError):
+        oracle(k, n, cutoff=1000)
+
+
 def test_symmetric_value_spot_check():
     # eta(1; 2) = eta(2; 1) = 2 zeta(3), both slots give the same number
     a = eta_at_positive((1,), 2)

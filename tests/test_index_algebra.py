@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from akzkit.index_algebra import (
+    _unword,
     b_coefficient,
     coarsenings,
     compositions,
@@ -18,6 +19,7 @@ from akzkit.index_algebra import (
     require_index,
     require_int,
     weight,
+    word,
 )
 
 indices = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
@@ -98,6 +100,32 @@ def test_refinements_and_coarsenings_invert_each_other(k):
 def test_every_index_refines_and_coarsens_itself(k):
     assert k in refinements(k)
     assert k in coarsenings(k)
+
+
+def test_refinements_and_coarsenings_small_tables():
+    assert refinements((1, 3)) == ((1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3))
+    assert coarsenings((1, 1, 2)) == ((1, 1, 2), (1, 3), (2, 2), (4,))
+
+
+@given(st.lists(st.integers(0, 1), max_size=12).map(lambda w: tuple(w) + (1,)))
+def test_word_round_trips_with_one_symbol_per_unit_of_weight(w):
+    # Every binary word ending in 1 is the word of exactly one index.
+    k = _unword(w)
+    assert word(k) == w
+    assert weight(k) == len(w)
+    assert depth(k) == sum(w)
+    assert is_admissible(k) == (w[0] == 0)
+
+
+@pytest.mark.parametrize("bad", [(), (0,), (1, 0)])
+def test_a_word_must_end_in_one(bad):
+    with pytest.raises(ValueError, match="malformed index word"):
+        _unword(bad)
+
+
+@given(admissible)
+def test_dual_word_is_the_reversed_complement(k):
+    assert word(dual(k)) == tuple(1 - s for s in reversed(word(k)))
 
 
 @given(st.integers(0, 9), st.integers(1, 5))

@@ -4,10 +4,16 @@ imported name that it never reads.  Names listed in `__all__` and
 
 Every private helper is used: each module-level function or class of
 src/akzkit whose name starts with an underscore is read somewhere in
-src/akzkit outside its own definition."""
+src/akzkit outside its own definition.
+
+Every export is bound: each name in the `__all__` of a module of
+src/akzkit, the package's own included, is an attribute of that module
+once imported."""
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -80,3 +86,20 @@ def test_the_scan_finds_a_dead_private_helper():
 def test_no_dead_private_helpers():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in _PACKAGE}
     assert _dead_private_helpers(sources) == []
+
+
+def _unbound_exports(module: types.ModuleType) -> list[str]:
+    return sorted(name for name in module.__all__ if not hasattr(module, name))
+
+
+def test_the_scan_finds_an_unbound_export():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "gone"]
+    module.kept = 1
+    assert _unbound_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    name = "akzkit" if path.stem == "__init__" else f"akzkit.{path.stem}"
+    assert _unbound_exports(importlib.import_module(name)) == []
