@@ -92,9 +92,6 @@ class TruncatedSeries:
         n = min(self.cap, other.cap)
         return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])))
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
-
     def scale(self, q: Fraction | int) -> "TruncatedSeries":
         q = Fraction(q)
         return TruncatedSeries(tuple(q * c for c in self.coeffs))
@@ -110,11 +107,7 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(Fraction(c, den) for c in out))
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Long division; the divisor must have a nonzero constant term.
-
-        Series sharing a t^j factor should be shifted down by the caller
-        (see shift_down) before dividing.
-        """
+        """Long division; the divisor must have a nonzero constant term."""
         if other.coeffs[0] == 0:
             raise ValueError("division requires a unit constant term")
         cap = min(self.cap, other.cap)
@@ -126,12 +119,6 @@ class TruncatedSeries:
                 acc -= out[i] * other.coeffs[n - i]
             out.append(acc * inv0)
         return TruncatedSeries(tuple(out))
-
-    def shift_down(self, j: int) -> "TruncatedSeries":
-        """Divide by t^j; the first j coefficients must vanish."""
-        if any(self.coeffs[i] for i in range(j)):
-            raise ValueError(f"series is not divisible by t^{j}")
-        return TruncatedSeries(self.coeffs[j:])
 
     def derivative(self) -> "TruncatedSeries":
         if self.cap == 0:
@@ -171,18 +158,20 @@ def one_minus_exp(sign: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def _ordered_bell_rows(cap: int):
-    """Yield the rows n = 0..cap of the triangle T(n, m) = m! * S(n, m).
+_ordered_bell = [[1]]
+
+
+def _ordered_bell_rows(cap: int) -> list[list[int]]:
+    """The rows n = 0..cap of the triangle T(n, m) = m! * S(n, m).
 
     Built from its own recurrence T(n, m) = m * (T(n-1, m) + T(n-1, m-1)),
-    not from stirling2, so the two Stirling tables check each other.
+    not from stirling2, so the two Stirling tables check each other.  One
+    triangle serves every caller, grown as far as the largest cap asked for.
     """
-    row = [1]
-    yield row
-    for n in range(1, cap + 1):
-        prev = row + [0]
-        row = [0] + [m * (prev[m] + prev[m - 1]) for m in range(1, n + 1)]
-        yield row
+    while len(_ordered_bell) <= cap:
+        prev = _ordered_bell[-1] + [0]
+        _ordered_bell.append([0] + [m * (prev[m] + prev[m - 1]) for m in range(1, len(prev))])
+    return _ordered_bell[: cap + 1]
 
 
 def compose_one_minus_exp(a: TruncatedSeries, sign: int, cap: int) -> TruncatedSeries:

@@ -4,26 +4,21 @@ B_n^(k) and C_n^(k) are defined through the substitution x = 1 - e^(-t)
 in the polylogarithm: Li_k(1-e^(-t))/(1-e^(-t)) generates the B family
 and Li_k(1-e^(-t))/(e^t-1) the C family, with multi-index versions using
 the multiple polylogarithm.  This module computes them three independent
-ways (series division, Stirling closed forms, a brute-force finite sum),
+ways (a recurrence per family, Stirling closed forms, a brute-force sum),
 exposes the value as an explicit Dirichlet polynomial in the upper index,
 and packages the classical symmetries and a mod-p congruence as checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_series import (
-    TruncatedSeries,
-    compose_one_minus_exp,
-    exact_power,
-    mpl_coeffs,
-    one_minus_exp,
-    stirling2,
-)
+from .exact_series import _ordered_bell_rows, _over_common_denominator, exact_power, mpl_coeffs, stirling2
 from .index_algebra import indices_up_to_weight, require_int, require_integer_index
 from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
@@ -89,32 +84,42 @@ class DirichletPolynomial:
         return " + ".join(rendered).replace("+ -", "- ")
 
 
-_CAP_STEP = 40
-_gf_cache: dict[tuple[tuple[int, ...], str], TruncatedSeries] = {}
+class _Family:
+    """The numbers P_0, P_1, ... of one (index, kind), grown in order only
+    as far as requests reach, so that each is computed once.
 
-
-def _gf_series(index: tuple[int, ...], kind: str, n_needed: int) -> TruncatedSeries:
-    """Exponential generating series of the chosen family, through at
-    least t^n_needed.
-
-    One series is cached per (index, kind) and serves every n its cap
-    covers.  A request beyond it rebuilds at n_needed rounded up to the
-    next multiple of a fixed step, so nearby requests share one division.
-    Coefficient n does not depend on the cap, so values never change.
+    The divisor (1 - e^(-t))/t for B, or (e^t - 1)/t for C, has exponential
+    coefficients s^j/(j+1), s = -1 for B and +1 for C, so clearing it gives
+    P_n = G_n - (1/(n+1)) sum_{j=1..n} s^j C(n+1, j+1) P_(n-j).  Here G_n,
+    n! times the t^n coefficient of Li(1-e^(-t))/t, is ((-1)^(n+1)/(n+1))
+    sum_{m=1..n+1} (-1)^m a_m m! S(n+1, m), with a the Taylor coefficients
+    of Li.  They are held in ints over one denominator and fetched anew at
+    twice the length when they run out, so that a sweep over n = 0, 1, ...
+    fetches them about log2(n) times.
     """
-    key = (index, kind)
-    cached = _gf_cache.get(key)
-    if cached is not None and cached.cap >= n_needed:
-        return cached
-    cap = _CAP_STEP * (n_needed // _CAP_STEP + 1)
-    numer = compose_one_minus_exp(mpl_coeffs(index, cap), -1, cap)
-    if kind == "B":
-        denom = one_minus_exp(-1, cap)
-    else:
-        denom = -one_minus_exp(1, cap)  # e^t - 1
-    series = numer.shift_down(1).divide(denom.shift_down(1))
-    _gf_cache[key] = series
-    return series
+
+    def __init__(self, index: tuple[int, ...], kind: str):
+        self.index = index
+        self.sign = -1 if kind == "B" else 1
+        self.numbers: list[Fraction] = []
+        self.den, self.signed_a = 1, [0]  # (-1)^m a_m times den, m = 0, 1, ...
+
+    def number(self, n: int) -> Fraction:
+        for k in range(len(self.numbers), n + 1):
+            if len(self.signed_a) < k + 2:
+                cap = max(k + 1, 2 * (len(self.signed_a) - 1))
+                self.den, a = _over_common_denominator(mpl_coeffs(self.index, cap).coeffs)
+                self.signed_a = [(-1) ** m * c for m, c in enumerate(a)]
+            total = sum(map(operator.mul, self.signed_a, _ordered_bell_rows(k + 1)[-1]))
+            weights = [self.sign**j * math.comb(k + 1, j + 1) for j in range(1, k + 1)]
+            earlier = sum(map(operator.mul, reversed(self.numbers), weights), _ZERO)
+            self.numbers.append((Fraction((-1) ** (k + 1) * total, self.den) - earlier) / (k + 1))
+        return self.numbers[n]
+
+
+@functools.cache
+def _family(index: tuple[int, ...], kind: str) -> _Family:
+    return _Family(index, kind)
 
 
 def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
@@ -124,7 +129,7 @@ def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
     require_int(n, "n", 0)
     index = require_integer_index(index)
-    return _gf_series(index, kind, n).coefficient(n) * math.factorial(n)
+    return _family(index, kind).number(n)
 
 
 def poly_bernoulli_B(n: int, k: int) -> Fraction:
@@ -194,6 +199,7 @@ def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fra
     """
     if kind not in ("B", "C"):
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
+    require_int(n, "n", 0)
     index = require_integer_index(index)
     weights, denominator = _brute_weights(n, index, kind)
     *inner, last = weights
@@ -218,6 +224,7 @@ def B_symbolic(n: int) -> DirichletPolynomial:
     >>> str(B_symbolic(2))
     '-2^-s + 2*3^-s'
     """
+    require_int(n, "n", 0)
     coeffs: dict[int, Fraction] = {}
     for m in range(n + 1):
         s = stirling2(n, m)
@@ -229,6 +236,7 @@ def B_symbolic(n: int) -> DirichletPolynomial:
 def C_symbolic(n: int) -> DirichletPolynomial:
     """C_n^(k) as an explicit function of the upper index:
     sum_m (-1)^(n+m+1) (m-1)! S(n+1,m) m^(-k)."""
+    require_int(n, "n", 0)
     coeffs: dict[int, Fraction] = {}
     for m in range(1, n + 2):
         s = stirling2(n + 1, m)

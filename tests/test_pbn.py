@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from akzkit import pbn
+from akzkit import exact_series, pbn
+from akzkit.exact_series import TruncatedSeries, compose_one_minus_exp, mpl_coeffs, one_minus_exp
 from akzkit.mzv_numeric import bernoulli_number
 from akzkit.pbn import (
     B_symbolic,
@@ -143,7 +144,7 @@ def test_brute_force_uses_no_series_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute-force oracle called series code")
 
-    for name in ("exact_power", "mpl_coeffs", "compose_one_minus_exp"):
+    for name in ("exact_power", "mpl_coeffs", "_ordered_bell_rows", "_over_common_denominator", "_family"):
         monkeypatch.setattr(pbn, name, forbidden)
     assert [multi_poly_bernoulli_brute(*case) for case in cases] == before
 
@@ -233,8 +234,64 @@ def test_smaller_n_is_served_from_the_cached_series(monkeypatch):
     high = multi_poly_bernoulli(100, index, "C")
 
     def no_build(*args, **kwargs):
-        raise AssertionError("the generating series was built again")
+        raise AssertionError("a number was computed again")
 
-    monkeypatch.setattr(pbn, "compose_one_minus_exp", no_build)
-    assert multi_poly_bernoulli(5, index, "C") == multi_poly_bernoulli_brute(5, index, "C")
-    assert multi_poly_bernoulli(100, index, "C") == high
+    monkeypatch.setattr(pbn, "mpl_coeffs", no_build)
+    monkeypatch.setattr(pbn, "_ordered_bell_rows", no_build)
+    got = {n: multi_poly_bernoulli(n, index, "C") for n in range(100, -1, -1)}
+    assert got[100] == high
+    assert [got[n] for n in range(8)] == [multi_poly_bernoulli_brute(n, index, "C") for n in range(8)]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (multi_poly_bernoulli, (True, (1,), "B")),
+        (multi_poly_bernoulli_brute, (-1, (1,), "B")),
+        (multi_poly_bernoulli_brute, (True, (1,), "B")),
+        (multi_poly_bernoulli_brute, (2.0, (1,), "C")),
+        (poly_bernoulli_B_stirling, (-1, 2)),
+        (poly_bernoulli_C_stirling, (-2, 2)),
+        (B_symbolic, (-3,)),
+        (C_symbolic, (-1,)),
+        (C_symbolic, (1.5,)),
+    ],
+)
+def test_every_route_rejects_a_bad_n(fn, args):
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        fn(*args)
+
+
+# The indices of the benchmark's poly-Bernoulli table.
+_TABLE_INDICES = [(k,) for k in range(-3, 4)] + [(1, 2), (-1, -1), (2, -1), (1, 1, 1), (2, 1, -2)]
+
+
+def _divided_series(index, kind, max_n):
+    # The generating series by Fraction long division, as the numbers were
+    # computed before the recurrence: numerator Li(1 - e^(-t))/t, divisor
+    # (1 - e^(-t))/t for B and (e^t - 1)/t for C.
+    cap = max_n + 1
+    numer = compose_one_minus_exp(mpl_coeffs(index, cap), -1, cap)
+    denom = one_minus_exp(-1, cap) if kind == "B" else one_minus_exp(1, cap).scale(-1)
+    series = TruncatedSeries(numer.coeffs[1:]).divide(TruncatedSeries(denom.coeffs[1:]))
+    return [c * math.factorial(n) for n, c in enumerate(series.coeffs)]
+
+
+@pytest.mark.parametrize("kind", ["B", "C"])
+def test_recurrence_matches_the_series_division(kind):
+    for index in dict.fromkeys(pbn._multi_oracle_indices() + _TABLE_INDICES):
+        got = [multi_poly_bernoulli(n, index, kind) for n in range(61)]
+        assert got == _divided_series(index, kind, 60), index
+
+
+@given(st.sampled_from(_TABLE_INDICES), st.sampled_from("BC"), st.permutations(range(31)))
+@settings(deadline=None, max_examples=25)
+def test_request_order_does_not_change_the_numbers(index, kind, order):
+    # Fresh families and a fresh shared triangle, so the shuffled requests
+    # decide how far the coefficients and the rows grow at each step.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_series, "_ordered_bell", [[1]])
+        shuffled = pbn._Family(index, kind)
+        got = {n: shuffled.number(n) for n in order}
+        ascending = pbn._Family(index, kind)
+        assert [got[n] for n in range(31)] == [ascending.number(n) for n in range(31)]
