@@ -74,11 +74,6 @@ class TruncatedSeries:
     def zero(cls, cap: int) -> "TruncatedSeries":
         return cls((_ZERO,) * (cap + 1))
 
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.cap:
-            raise IndexError(f"coefficient {n} outside known range 0..{self.cap}")
-        return self.coeffs[n]
-
     def truncate(self, cap: int) -> "TruncatedSeries":
         if cap > self.cap:
             raise ValueError(f"cannot extend cap {self.cap} to {cap}")
@@ -158,20 +153,40 @@ def one_minus_exp(sign: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-_ordered_bell = [[1]]
+def _ordered_bell_rows():
+    """Yield the rows n = 0, 1, ... of the triangle T(n, m) = m! * S(n, m).
 
-
-def _ordered_bell_rows(cap: int) -> list[list[int]]:
-    """The rows n = 0..cap of the triangle T(n, m) = m! * S(n, m).
-
-    Built from its own recurrence T(n, m) = m * (T(n-1, m) + T(n-1, m-1)),
-    not from stirling2, so the two Stirling tables check each other.  One
-    triangle serves every caller, grown as far as the largest cap asked for.
+    Built from T(n, m) = m * (T(n-1, m) + T(n-1, m-1)), T(n-1, n) = 0, not
+    from stirling2, so the two Stirling tables check each other.
     """
-    while len(_ordered_bell) <= cap:
-        prev = _ordered_bell[-1] + [0]
-        _ordered_bell.append([0] + [m * (prev[m] + prev[m - 1]) for m in range(1, len(prev))])
-    return _ordered_bell[: cap + 1]
+    row = [1]
+    while True:
+        yield row
+        row = [0] + [m * (a + b) for m, (a, b) in enumerate(zip(row[1:] + [0], row), 1)]
+
+
+class _OneMinusExpSums:
+    """Streams of the sums sum_{m=1..n} (-1)^m a_m m! S(n, m), n = 0, 1, ...,
+    that s^n / n! turns into the t^n coefficients of a(1 - e^(s*t)), each
+    sum yielded as (total, den) with total / den its value.
+
+    fetch(cap) gives a_0, a_1, ... through at least a_cap.  The streams of
+    one instance share them, signed and over one denominator, fetched again
+    at twice the length when they run out.  Each stream holds one row of
+    m! S(n, m): O(n) ints, where one triangle for every stream would hold
+    O(n^2) ints of O(n log n) bits for the life of the process.
+    """
+
+    def __init__(self, fetch):
+        self.fetch, self.den, self.signed = fetch, 1, [0]
+
+    def stream(self):
+        for n, row in enumerate(_ordered_bell_rows()):
+            if len(self.signed) <= n:
+                cap = max(n, 2 * len(self.signed) - 2)
+                self.den, self.signed = _over_common_denominator(self.fetch(cap))
+                self.signed[1::2] = map(operator.neg, self.signed[1::2])
+            yield sum(map(operator.mul, self.signed, row)), self.den
 
 
 def compose_one_minus_exp(a: TruncatedSeries, sign: int, cap: int) -> TruncatedSeries:
@@ -190,13 +205,8 @@ def compose_one_minus_exp(a: TruncatedSeries, sign: int, cap: int) -> TruncatedS
         raise ValueError(f"outer series cap {a.cap} is below requested cap {cap}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    den, outer = _over_common_denominator(a.coeffs[: cap + 1])
-    signed = [(-1) ** m * c for m, c in enumerate(outer)]
-    out = []
-    for n, row in enumerate(_ordered_bell_rows(cap)):
-        total = sum(c * t for c, t in zip(signed, row))
-        out.append(Fraction(sign**n * total, den * math.factorial(n)))
-    return TruncatedSeries(tuple(out))
+    sums = zip(range(cap + 1), _OneMinusExpSums(lambda _: a.coeffs[: cap + 1]).stream())
+    return TruncatedSeries(tuple(Fraction(sign**n * t, den * math.factorial(n)) for n, (t, den) in sums))
 
 
 def exact_power(m: int, e: int) -> Fraction:

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_series import _ordered_bell_rows, _over_common_denominator, exact_power, mpl_coeffs, stirling2
+from .exact_series import _OneMinusExpSums, exact_power, mpl_coeffs, stirling2
 from .index_algebra import indices_up_to_weight, require_int, require_integer_index
 from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
@@ -85,41 +85,34 @@ class DirichletPolynomial:
 
 
 class _Family:
-    """The numbers P_0, P_1, ... of one (index, kind), grown in order only
-    as far as requests reach, so that each is computed once.
-
-    The divisor (1 - e^(-t))/t for B, or (e^t - 1)/t for C, has exponential
-    coefficients s^j/(j+1), s = -1 for B and +1 for C, so clearing it gives
-    P_n = G_n - (1/(n+1)) sum_{j=1..n} s^j C(n+1, j+1) P_(n-j).  Here G_n,
-    n! times the t^n coefficient of Li(1-e^(-t))/t, is ((-1)^(n+1)/(n+1))
-    sum_{m=1..n+1} (-1)^m a_m m! S(n+1, m), with a the Taylor coefficients
-    of Li.  They are held in ints over one denominator and fetched anew at
-    twice the length when they run out, so that a sweep over n = 0, 1, ...
-    fetches them about log2(n) times.
+    """P_0, P_1, ... of one (index, kind), each computed once, in order, as
+    far as requests reach.  Clearing the divisor (1 - e^(-t))/t for B or
+    (e^t - 1)/t for C, whose exponential coefficients are s^j/(j+1) with
+    s = -1 for B and +1 for C, gives P_n = G_n - (1/(n+1)) sum_{j=1..n}
+    s^j C(n+1, j+1) P_(n-j).  G_n, n! times the t^n coefficient of
+    Li(1-e^(-t))/t, is ((-1)^(n+1)/(n+1)) sum_{m=1..n+1} (-1)^m a_m
+    m! S(n+1, m), with a the Taylor coefficients of Li: sum n+1 of `sums`.
     """
 
-    def __init__(self, index: tuple[int, ...], kind: str):
-        self.index = index
+    def __init__(self, kind: str, sums: _OneMinusExpSums):
         self.sign = -1 if kind == "B" else 1
         self.numbers: list[Fraction] = []
-        self.den, self.signed_a = 1, [0]  # (-1)^m a_m times den, m = 0, 1, ...
+        self.sums = itertools.islice(sums.stream(), 1, None)
 
     def number(self, n: int) -> Fraction:
         for k in range(len(self.numbers), n + 1):
-            if len(self.signed_a) < k + 2:
-                cap = max(k + 1, 2 * (len(self.signed_a) - 1))
-                self.den, a = _over_common_denominator(mpl_coeffs(self.index, cap).coeffs)
-                self.signed_a = [(-1) ** m * c for m, c in enumerate(a)]
-            total = sum(map(operator.mul, self.signed_a, _ordered_bell_rows(k + 1)[-1]))
+            total, den = next(self.sums)
             weights = [self.sign**j * math.comb(k + 1, j + 1) for j in range(1, k + 1)]
             earlier = sum(map(operator.mul, reversed(self.numbers), weights), _ZERO)
-            self.numbers.append((Fraction((-1) ** (k + 1) * total, self.den) - earlier) / (k + 1))
+            self.numbers.append((Fraction((-1) ** (k + 1) * total, den) - earlier) / (k + 1))
         return self.numbers[n]
 
 
 @functools.cache
-def _family(index: tuple[int, ...], kind: str) -> _Family:
-    return _Family(index, kind)
+def _families(index: tuple[int, ...]) -> dict[str, _Family]:
+    # The B and C families of an index read the same coefficients.
+    sums = _OneMinusExpSums(lambda cap: mpl_coeffs(index, cap).coeffs)
+    return {kind: _Family(kind, sums) for kind in "BC"}
 
 
 def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
@@ -129,7 +122,7 @@ def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
     require_int(n, "n", 0)
     index = require_integer_index(index)
-    return _family(index, kind).number(n)
+    return _families(index)[kind].number(n)
 
 
 def poly_bernoulli_B(n: int, k: int) -> Fraction:

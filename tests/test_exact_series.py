@@ -112,7 +112,7 @@ def test_compose_one_minus_exp_agrees_with_generic_compose():
 
 
 def test_ordered_bell_triangle_matches_stirling2():
-    for n, row in enumerate(_ordered_bell_rows(20)):
+    for n, row in enumerate(itertools.islice(_ordered_bell_rows(), 21)):
         assert row == [math.factorial(m) * stirling2(n, m) for m in range(n + 1)], n
 
 

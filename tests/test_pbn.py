@@ -1,5 +1,6 @@
 """Poly-Bernoulli numbers: sentinel values, dualities, and the oracles."""
 
+import functools
 import itertools
 import math
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from akzkit import exact_series, pbn
+from akzkit import pbn
 from akzkit.exact_series import TruncatedSeries, compose_one_minus_exp, mpl_coeffs, one_minus_exp
 from akzkit.mzv_numeric import bernoulli_number
 from akzkit.pbn import (
@@ -144,7 +145,7 @@ def test_brute_force_uses_no_series_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute-force oracle called series code")
 
-    for name in ("exact_power", "mpl_coeffs", "_ordered_bell_rows", "_over_common_denominator", "_family"):
+    for name in ("exact_power", "mpl_coeffs", "_OneMinusExpSums", "_families"):
         monkeypatch.setattr(pbn, name, forbidden)
     assert [multi_poly_bernoulli_brute(*case) for case in cases] == before
 
@@ -235,12 +236,34 @@ def test_smaller_n_is_served_from_the_cached_series(monkeypatch):
 
     def no_build(*args, **kwargs):
         raise AssertionError("a number was computed again")
+        yield
 
     monkeypatch.setattr(pbn, "mpl_coeffs", no_build)
-    monkeypatch.setattr(pbn, "_ordered_bell_rows", no_build)
+    monkeypatch.setattr(pbn, "_OneMinusExpSums", no_build)
+    monkeypatch.setattr(pbn._families(index)["C"], "sums", no_build())
     got = {n: multi_poly_bernoulli(n, index, "C") for n in range(100, -1, -1)}
     assert got[100] == high
     assert [got[n] for n in range(8)] == [multi_poly_bernoulli_brute(n, index, "C") for n in range(8)]
+
+
+def test_both_kinds_of_an_index_share_one_coefficient_fetch(monkeypatch):
+    index = (2, -1, 3)
+    fetched = []
+
+    def counting(exponents, cap):
+        fetched.append(cap)
+        return mpl_coeffs(exponents, cap)
+
+    # A fresh cache, so that no earlier test has built these families.
+    monkeypatch.setattr(pbn, "_families", functools.cache(pbn._families.__wrapped__))
+    monkeypatch.setattr(pbn, "mpl_coeffs", counting)
+    b = multi_poly_bernoulli(40, index, "B")
+    # Row 41 needs a_0, ..., a_41: fetched at twice the length each time.
+    assert fetched == [1, 2, 4, 8, 16, 32, 64]
+    fetched.clear()
+    c = multi_poly_bernoulli(40, index, "C")
+    assert fetched == []
+    assert (b, c) == (_divided_series(index, "B", 40)[40], _divided_series(index, "C", 40)[40])
 
 
 @pytest.mark.parametrize(
@@ -284,14 +307,14 @@ def test_recurrence_matches_the_series_division(kind):
         assert got == _divided_series(index, kind, 60), index
 
 
-@given(st.sampled_from(_TABLE_INDICES), st.sampled_from("BC"), st.permutations(range(31)))
+@given(st.sampled_from(_TABLE_INDICES), st.permutations([(kind, n) for kind in "BC" for n in range(31)]))
 @settings(deadline=None, max_examples=25)
-def test_request_order_does_not_change_the_numbers(index, kind, order):
-    # Fresh families and a fresh shared triangle, so the shuffled requests
-    # decide how far the coefficients and the rows grow at each step.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact_series, "_ordered_bell", [[1]])
-        shuffled = pbn._Family(index, kind)
-        got = {n: shuffled.number(n) for n in order}
-        ascending = pbn._Family(index, kind)
-        assert [got[n] for n in range(31)] == [ascending.number(n) for n in range(31)]
+def test_request_order_does_not_change_the_numbers(index, order):
+    # Fresh families and coefficients, so the shuffled requests, both kinds
+    # interleaved, decide how far the coefficients the two kinds share and
+    # the rows of each grow at each step.
+    shuffled = pbn._families.__wrapped__(index)
+    got = {(kind, n): shuffled[kind].number(n) for kind, n in order}
+    for kind in "BC":
+        ascending = pbn._families.__wrapped__(index)[kind]
+        assert [got[kind, n] for n in range(31)] == [ascending.number(n) for n in range(31)], kind
