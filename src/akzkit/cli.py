@@ -188,20 +188,26 @@ def _cmd_verify_all(args) -> int:
     return _print_reports(reports, args.json)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least `low`, so that a range
+    that would run no check, or print no digit, is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_digits(parser) -> None:
     parser.add_argument(
         "--digits",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=30,
         help="significant digits to print, at most as many as the error bound certifies",
     )
@@ -258,14 +264,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = level2_sub.add_parser("verify", help="run the level-two identity checks")
     q.add_argument("target", choices=tuple(_LEVEL2_TARGETS) + ("all",))
-    q.add_argument("--max", type=int, default=4, help="range cap where the target takes one")
+    q.add_argument(
+        "--max", type=_int_at_least(1), default=4, help="range cap where the target takes one"
+    )
     q.add_argument("--tol", type=float, default=1e-8)
     q.add_argument("--json", default=None, help="write reports as JSON ('-' for stdout)")
     q.set_defaults(func=_cmd_level2_verify)
 
     p = sub.add_parser("verify-all", help="run every identity check in the package")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-weight", type=int, default=8)
+    p.add_argument(
+        "--max-weight",
+        type=_int_at_least(2),
+        default=8,
+        help="largest weight of the plain duality sweep (its first index has weight 2)",
+    )
     p.add_argument("--jobs", type=int, default=1, help="accepted; tasks run serially")
     p.add_argument("--json", default=None, help="write reports as JSON ('-' for stdout)")
     p.add_argument(

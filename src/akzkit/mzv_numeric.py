@@ -16,9 +16,13 @@ Both levels share one engine.
 
 The path split of an index needs the values of every suffix of two words,
 the word of the index and the word of its dual.  Each suffix is the
-next shorter one with one more outer symbol, so each of the two words is
-built as one chain of symbol steps, and each suffix is evaluated on the
-chain's coefficient list.  No coefficient list outlives the split.
+next shorter one with one more outer symbol, so words are built from the
+innermost symbol outwards: one walk over a set of words at one point
+builds each suffix they share once, keeping one coefficient list per
+depth, and evaluates every word on its list.  A single split walks each
+of its two words on its own; a sweep over an explicit list of indices
+walks all of their words at once before its first split, so its splits
+only convolve cached values.  No coefficient list outlives its walk.
 
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
@@ -215,37 +219,70 @@ def _series_value(coeffs: list, cap: int, ones: int, z) -> tuple:
     return (value, tail + _smear(value))
 
 
-def _suffix_values(word: tuple[int, ...], z, starts) -> list[tuple]:
-    """(value, bound) at z of the word integral of word[j:] for each j in
-    `starts`.
+def _word_values(words, z) -> dict[tuple, tuple]:
+    """(value, bound) at z of the word integral of each word in `words`;
+    the empty word has value 1.
 
-    The suffixes form one chain: word[j:] is word[j+1:] with one more
-    outer symbol.  So the words not in _value_cache are built in one pass
-    from the innermost symbol outwards, at the cap of the longest of them,
-    and each is evaluated at its own cap on that list.  Since coefficient
-    n never depends on the cap, each value is the one its word would get
-    alone."""
+    The words that _value_cache lacks are built in one depth-first walk
+    over their symbols, innermost first, in the order of their reversed
+    symbols.  Words that share innermost symbols are then adjacent, and
+    each word starts from the list of the innermost symbols it shares
+    with the word before it: one symbol step per distinct suffix of a
+    missing word, all at the cap of the longest missing word.  A list is
+    kept only while a later word starts from it, so a single chain holds
+    no more lists than one step needs.  Each word is evaluated at its own
+    cap on its list; since coefficient n never depends on the cap, each
+    value is the one its word would get alone."""
     point = z._mpf_
-    out: dict[int, tuple] = {}
-    missing: dict[int, tuple[int, int]] = {}  # j -> (cap, ones)
-    for j in starts:
-        hit = _value_cache.get((word[j:], point)) if j < len(word) else (mpmath.mpf(1), mpmath.mpf(0))
+    out: dict[tuple, tuple] = {}
+    missing: dict[tuple, tuple[int, int]] = {}  # word -> (cap, ones)
+    for w in words:
+        hit = _value_cache.get((w, point)) if w else (mpmath.mpf(1), mpmath.mpf(0))
         if hit is not None:
-            out[j] = hit
+            out[w] = hit
+        elif w[-1] == 0:
+            # Only the innermost form can meet a nonzero constant term.
+            raise PoleError(f"word {w!r} is not integrable at the origin")
         else:
-            ones = sum(1 for s in word[j:] if s != 0)
-            missing[j] = (_series_cap_for(z, ones), ones)
-    if missing:
-        # Only the innermost form can meet a nonzero constant term.
-        if word[-1] == 0:
-            raise PoleError(f"word {word!r} is not integrable at the origin")
-        coeffs = [mpmath.mpf(1)] + [mpmath.mpf(0)] * max(cap for cap, _ in missing.values())
-        for j in range(len(word) - 1, min(missing) - 1, -1):
-            coeffs = _symbol_step(coeffs, word[j])
-            if j in missing:
-                cap, ones = missing[j]
-                out[j] = _value_cache[(word[j:], point)] = _series_value(coeffs, cap, ones, z)
-    return [out[j] for j in starts]
+            ones = sum(1 for s in w if s != 0)
+            missing[w] = (_series_cap_for(z, ones), ones)
+    if not missing:
+        return out
+    inners = sorted(w[::-1] for w in missing)
+    # starts[i]: how many innermost symbols word i shares with word i - 1.
+    # No word is a prefix of the one before it, so the scan stays in range.
+    starts = [0]
+    for prev, inner in zip(inners, inners[1:]):
+        shared = 0
+        while shared < len(prev) and prev[shared] == inner[shared]:
+            shared += 1
+        starts.append(shared)
+    last_start = {d: i for i, d in enumerate(starts)}
+    kept = {0: [mpmath.mpf(1)] + [mpmath.mpf(0)] * max(cap for cap, _ in missing.values())}
+    for i, inner in enumerate(inners):
+        coeffs = kept[starts[i]]
+        for d in [d for d in kept if last_start[d] <= i]:
+            del kept[d]
+        for d in range(starts[i], len(inner)):
+            coeffs = _symbol_step(coeffs, inner[d])
+            if last_start.get(d + 1, -1) > i:
+                kept[d + 1] = coeffs
+        w = inner[::-1]
+        cap, ones = missing[w]
+        out[w] = _value_cache[(w, point)] = _series_value(coeffs, cap, ones, z)
+    return out
+
+
+def _split_point(letter: int):
+    return mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
+
+
+def _split_words(parts: tuple[int, ...], letter: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The upper pieces of a path split are the suffixes of the index's
+    # word.  The lower pieces are the prefixes of the reversed,
+    # letter-swapped word, which is the dual's word: prefix j is suffix
+    # L - j of it, so both sides are suffixes.
+    return tuple(letter * s for s in word(parts)), tuple(letter * s for s in word(dual(parts)))
 
 
 def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
@@ -261,15 +298,12 @@ def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
     hit = _result_cache.get(key)
     if hit is not None:
         return hit
-    point = mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
-    # The lower pieces are the prefixes of the reversed, letter-swapped
-    # word, which is the dual's word: prefix j is suffix L - j of it, so
-    # both sides are suffix chains.
-    upper_word = tuple(letter * s for s in word(parts))
-    lower_word = tuple(letter * s for s in word(dual(parts)))
+    point = _split_point(letter)
+    upper_word, lower_word = _split_words(parts, letter)
     length = len(upper_word)
-    upper = _suffix_values(upper_word, point, range(length + 1))
-    lower = _suffix_values(lower_word, point, range(length + 1))
+    # One walk per word, so each chain is built at its own cap.
+    upper = _word_values([upper_word[j:] for j in range(length + 1)], point)
+    lower = _word_values([lower_word[j:] for j in range(length + 1)], point)
     total = mpmath.mpf(0)
     bound = mpmath.mpf(0)
     # The level-two involution carries dt/t to 2 dt/(1-t^2) and
@@ -278,13 +312,23 @@ def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
     for j in range(length + 1):
         if j > 0 and letter == 2:
             factor *= 2 if upper_word[j - 1] == 0 else mpmath.mpf(1) / 2
-        a, ea = lower[length - j]
-        b, eb = upper[j]
+        a, ea = lower[lower_word[length - j :]]
+        b, eb = upper[upper_word[j:]]
         total += factor * a * b
         bound += factor * (abs(a) * eb + abs(b) * ea + ea * eb)
     res = EvalResult(total, bound + _smear(total), "path-split-convolution")
     _result_cache[key] = res
     return res
+
+
+def _preload_path_splits(indices, letter: int) -> None:
+    """Evaluate, in one walk, every word value that the path splits of
+    `indices` read, so that the splits themselves only convolve cached
+    values.  For a sweep over many indices this builds each shared
+    suffix once, where split by split it would be rebuilt per word."""
+    _activate()
+    words = {w[j:] for parts in indices for w in _split_words(parts, letter) for j in range(len(w))}
+    _word_values(words, _split_point(letter))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +384,8 @@ def mpl_numeric(k, z) -> EvalResult:
         raise ValueError("evaluation point must satisfy |z| <= 0.95")
     if zv == 0:
         return exact_result(0, "series")
-    ((value, err),) = _suffix_values(word(parts), zv, (0,))
+    w = word(parts)
+    value, err = _word_values((w,), zv)[w]
     return EvalResult(value, err, "series")
 
 
@@ -478,9 +523,10 @@ def zeta_nonpositive(n: int) -> Fraction:
 
 
 def _exact(x) -> Fraction:
-    """The value of an mpf as a Fraction, exactly."""
-    man, exp = x.man_exp
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    """The value of a finite mpf as a Fraction, exactly."""
+    sign, man, exp, _ = x._mpf_
+    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -value if sign else value
 
 
 @dataclass(frozen=True)
@@ -508,7 +554,11 @@ class _FixedSeries:
         one unit) and adds a rounded coefficient (half a unit); the error
         in x costs slope units per unit."""
         f = self.frac_bits
-        point = math.floor(_exact(x) * (1 << f))
+        # floor(x 2^F) from x = man 2^exp, with no Fraction: >> floors
+        # for either sign.
+        sign, man, exp, _ = x._mpf_
+        man = -man if sign else man
+        point = man << (exp + f) if exp + f >= 0 else man >> -(exp + f)
         acc = 0
         for c in reversed(self.coeffs[:terms]):
             acc = ((acc * point) >> f) + c
@@ -621,20 +671,15 @@ def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
     """Value equality under index duality, across every admissible index
     of weight up to max_weight (each dual pair checked once)."""
     log = RowLog()
-    seen = set()
+    pairs = []
     for k in sorted(indices_up_to_weight(max_weight), key=weight):
         if k[-1] >= 2:
             d = dual(k)
-            if (d, k) in seen:
-                continue
-            seen.add((k, d))
-            log.numeric(
-                "mzv.duality",
-                {"index": k, "dual": d},
-                mzv(k),
-                mzv(d),
-                tolerance,
-            )
+            if (d, k) not in pairs:
+                pairs.append((k, d))
+    _preload_path_splits([k for k, _ in pairs], 1)
+    for k, d in pairs:
+        log.numeric("mzv.duality", {"index": k, "dual": d}, mzv(k), mzv(d), tolerance)
     return log.rows
 
 

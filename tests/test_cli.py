@@ -128,6 +128,32 @@ def test_digits_below_one_is_a_usage_error(digits, capsys):
     assert "--digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["level2", "verify", "ht1", "--max", "0"], "--max"),
+        (["level2", "verify", "psi", "--max", "-2"], "--max"),
+        (["level2", "verify", "ht1", "--max", "two"], "--max"),
+        (["verify-all", "--max-weight", "1"], "--max-weight"),
+        (["verify-all", "--max-weight", "0"], "--max-weight"),
+    ],
+)
+def test_a_range_with_no_check_is_a_usage_error(monkeypatch, argv, flag, capsys):
+    # Rejected while parsing, before any check runs.
+    ran = []
+    monkeypatch.setattr(akzkit.verify, "verify_all", lambda **kw: ran.append(kw) or [])
+    monkeypatch.setattr(akzkit.level2, "height_one_duality_check", lambda **kw: ran.append(kw) or [])
+    monkeypatch.setattr(akzkit.level2, "psi_formula_crosscheck", lambda **kw: ran.append(kw) or [])
+    assert run_command(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert ran == []
+
+
+def test_the_smallest_ranges_still_run_checks(capsys):
+    assert run_command(["level2", "verify", "ht1", "--max", "1"]) == 0
+    assert "total=1" in capsys.readouterr().out
+
+
 def test_psi_value_output(capsys):
     assert run_command(["level2", "psi", "--r", "1", "--k", "2", "--at", "2"]) == 0
     assert capsys.readouterr().out.strip().startswith("3.044")

@@ -1,6 +1,7 @@
 """Numeric evaluation with error bounds: zeta values, parity-restricted
 sums, the polylogarithm near 1, and the deliberate-fault switch."""
 
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import akzkit
 from akzkit import mzv_numeric
-from akzkit.index_algebra import dual, indices_up_to_weight, weight
+from akzkit.index_algebra import dual, indices_up_to_weight, weight, word
+from akzkit.level2 import height_one_duality_check
 from akzkit.mzv_numeric import (
     EvalResult,
     PoleError,
@@ -218,7 +220,9 @@ def test_small_polylog_values():
 
 def test_word_values_are_cached_on_the_exact_point(monkeypatch):
     # Two points that print alike at the working precision must not share
-    # a cache entry.
+    # a cache entry.  The precision they are built at locks on the
+    # first evaluation, which this test may be.
+    zeta(2)
     third = mpmath.mpf(1) / 3
     near = third + mpmath.ldexp(1, -current_precision())
     assert near != third and str(near) == str(third)
@@ -255,19 +259,53 @@ def test_a_cold_path_split_builds_each_chain_once(monkeypatch, evaluate, k):
     assert 0 < len(steps) <= 2 * weight(k)
 
 
+def _suffixes_of_sweep(indices) -> set:
+    # Each path split reads every suffix of the index's word and of its
+    # dual's word; the dual's word is the index's word for the dual.
+    return {w[j:] for k in indices for w in (word(k), word(dual(k))) for j in range(len(w))}
+
+
+def test_a_cold_duality_sweep_builds_each_suffix_once(monkeypatch):
+    # Split by split, the weight-8 sweep rebuilt its chains in 896 steps.
+    steps = _count_symbol_steps(monkeypatch)
+    monkeypatch.setattr(mzv_numeric, "_value_cache", {})
+    monkeypatch.setattr(mzv_numeric, "_result_cache", {})
+    duality_numeric_check(max_weight=8)
+    admissible_8 = [k for k in indices_up_to_weight(8) if k[-1] >= 2]
+    assert len(steps) == len(_suffixes_of_sweep(admissible_8)) == 191
+    steps.clear()
+    height_one_duality_check()
+    grid = [(1,) * (r - 1) + (k + 1,) for r in range(1, 5) for k in range(r, 5)]
+    assert len(steps) == len(_suffixes_of_sweep(grid))
+
+
 def test_every_cached_word_value_is_the_value_of_that_word_alone(monkeypatch):
     monkeypatch.setattr(mzv_numeric, "_value_cache", {})
     monkeypatch.setattr(mzv_numeric, "_result_cache", {})
-    for k in indices_up_to_weight(7):
-        if k[-1] >= 2:
-            mzv(k)
-            t0_value(k)
+    duality_numeric_check(max_weight=7)
+    height_one_duality_check()
     swept = dict(mzv_numeric._value_cache)
+    points = {mpmath.mpf(point) for _, point in swept}
+    assert points == {mpmath.mpf(1) / 2, mpmath.sqrt(2) - 1}
     assert len(swept) > 100
-    for (word, point), (value, bound) in swept.items():
+    for (w, point), (value, bound) in swept.items():
         mzv_numeric._value_cache.clear()
-        ((alone, alone_bound),) = mzv_numeric._suffix_values(word, mpmath.mpf(point), (0,))
-        assert (alone._mpf_, alone_bound._mpf_) == (value._mpf_, bound._mpf_), word
+        alone, alone_bound = mzv_numeric._word_values((w,), mpmath.mpf(point))[w]
+        assert (alone._mpf_, alone_bound._mpf_) == (value._mpf_, bound._mpf_), w
+
+
+def test_fixed_point_floors_its_argument_for_either_sign():
+    # The series x alone returns x floored to F bits, whichever way the
+    # mantissa is shifted: exp + F below 0 (right) or not (left).
+    for frac_bits in (8, 64, 300):
+        series = mzv_numeric._FixedSeries.build([0, 1 << frac_bits], frac_bits)
+        for man in (1, 3, 12345, -1, -3, -12345):
+            for exp in (-320, -70, -9, -3, 0, 2):
+                x = mpmath.ldexp(man, exp)
+                value, _ = series.evaluate(x, 0, 2)
+                floored = math.floor(Fraction(man) * Fraction(2) ** (exp + frac_bits))
+                assert mpmath.ldexp(value, frac_bits) == floored, (frac_bits, man, exp)
+                assert mzv_numeric._exact(x) == Fraction(man) * Fraction(2) ** exp
 
 
 def test_bernoulli_values():
