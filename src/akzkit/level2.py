@@ -17,6 +17,7 @@ representation itself by direct quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from .mzv_numeric import (
     EvalResult,
     PoleError,
     _preload_path_splits,
+    _require_admissible,
+    bernoulli_number,
     polylog_near_one,
     sum_results,
     t0_value,
@@ -143,14 +146,12 @@ def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
             equal=ok,
         )
     small = 24
-    sinh = TruncatedSeries.from_list(
-        [Fraction(1, math.factorial(n)) if n % 2 == 1 else 0 for n in range(small + 1)]
-    )
-    cosh = TruncatedSeries.from_list(
-        [Fraction(1, math.factorial(n)) if n % 2 == 0 else 0 for n in range(small + 1)]
-    )
-    tanh = sinh.divide(cosh)
-    composed = _arctanh_series(small).compose(tanh)
+    # tanh t = sum_n 2^(2n) (2^(2n) - 1) B_(2n) t^(2n-1) / (2n)!, so the row
+    # also checks the Bernoulli numbers that polylog_near_one reads.
+    tanh = [_ZERO] * (small + 1)
+    for n in range(1, small // 2 + 1):
+        tanh[2 * n - 1] = 4**n * (4**n - 1) * bernoulli_number(2 * n) / math.factorial(2 * n)
+    composed = _arctanh_series(small).compose(TruncatedSeries(tuple(tanh)))
     identity = TruncatedSeries.from_list([0, 1], small)
     log.exact(
         "level2.arctanh-tanh-identity",
@@ -180,10 +181,13 @@ def psi_at_positive(r: int, k: int, m: int) -> EvalResult:
     require_int(r, "r", 1)
     require_int(k, "k", 1)
     require_int(m, "m", 1)
+    return _psi_positive(r, k, m, t_value)
+
+
+def _psi_positive(r: int, k: int, m: int, value) -> EvalResult:
     if m == 1:
-        return t_value(_height_one(r, k + 1))
-    terms = positive_terms(_height_one(r, k), m, t_value)
-    return sum_results(terms, "binomial-T-combination")
+        return value(_height_one(r, k + 1))
+    return sum_results(positive_terms(_height_one(r, k), m, value), "binomial-T-combination")
 
 
 def psi_alternating_form(r: int, k: int, m: int) -> EvalResult:
@@ -201,33 +205,55 @@ def psi_alternating_form(r: int, k: int, m: int) -> EvalResult:
     return height_one_alternating(r, k, m, t_value, "alternate-T-combination")
 
 
+def _preload_t_values(formulas) -> None:
+    """Evaluate, in one walk, every word that the T values read by
+    `formulas` need, so that a sweep over them builds each shared suffix
+    once.
+
+    Each formula takes the function it reads T (or T0) values with.  It
+    runs here first with a stand-in that only records the index it is
+    asked for and, like t_value, raises PoleError on a divergent one, so
+    the indices come from the formulas themselves."""
+    indices = []
+    stand_in = EvalResult(mpmath.mpf(0), mpmath.mpf(0), "stand-in")
+
+    def record(k) -> EvalResult:
+        indices.append(_require_admissible(k))
+        return stand_in
+
+    for formula in formulas:
+        try:
+            formula(record)
+        except PoleError:
+            pass
+    _preload_path_splits(indices, 2)
+
+
+def _psi_sides(r: int, k: int, m: int, value) -> tuple[EvalResult, EvalResult]:
+    # The alternate route goes first: where it meets a divergent value it
+    # raises PoleError before the positive one is evaluated.
+    alt = height_one_alternating(r, k, m, value, "alternate-T-combination")
+    return _psi_positive(r, k, m, value), alt
+
+
 def psi_formula_crosscheck(
     max_r: int = 3, max_k: int = 3, m_values: tuple[int, ...] = (1, 2, 3), tolerance: float = 1e-8
 ) -> list[VerificationReport]:
     """The two closed expressions for height-one psi against each other.
     Instances whose alternate route hits a divergent T value are reported
     as skipped."""
+    for m in m_values:
+        require_int(m, "m", 1)
     log = RowLog()
-    for r in range(1, max_r + 1):
-        for k in range(1, max_k + 1):
-            for m in m_values:
-                try:
-                    alt = psi_alternating_form(r, k, m)
-                except PoleError as exc:
-                    log.skip(
-                        "level2.psi-family-crosscheck",
-                        {"r": r, "k": k, "m": m},
-                        SKIPPED_POLE,
-                        str(exc),
-                    )
-                    continue
-                log.numeric(
-                    "level2.psi-family-crosscheck",
-                    {"r": r, "k": k, "m": m},
-                    psi_at_positive(r, k, m),
-                    alt,
-                    tolerance,
-                )
+    grid = [(r, k, m) for r in range(1, max_r + 1) for k in range(1, max_k + 1) for m in m_values]
+    _preload_t_values(functools.partial(_psi_sides, r, k, m) for r, k, m in grid)
+    for r, k, m in grid:
+        try:
+            psi, alt = _psi_sides(r, k, m, t_value)
+        except PoleError as exc:
+            log.skip("level2.psi-family-crosscheck", {"r": r, "k": k, "m": m}, SKIPPED_POLE, str(exc))
+            continue
+        log.numeric("level2.psi-family-crosscheck", {"r": r, "k": k, "m": m}, psi, alt, tolerance)
     return log.rows
 
 
@@ -263,39 +289,38 @@ def t_binomial_identity_check(
     plus its depth-two display at k = 2, r = 1 written in the
     parity-restricted values directly."""
     log = RowLog()
+    grid = [(m, r, k) for m in m_values for r in r_values for k in k_values]
+    _preload_t_values(
+        [functools.partial(_t_binomial_sides, m, r, k) for m, r, k in grid]
+        + [functools.partial(_oddeven_display_sides, m) for m in m_values]
+    )
+    for m, r, k in grid:
+        lhs, rhs = _t_binomial_sides(m, r, k, t_value)
+        log.numeric("level2.t-binomial-symmetry", {"m": m, "r": r, "k": k}, lhs, rhs, tolerance)
     for m in m_values:
-        for r in r_values:
-            for k in k_values:
-                left = positive_terms(_height_one(r, k), m + 1, t_value)
-                for a in compositions(r, k):
-                    idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m + 1,)
-                    left.append(t_value(idx).scale((-1) ** k * math.comb(a[-1] + m, m)))
-                rhs_terms = []
-                for j in range(k - 1):
-                    prod = t_value((1,) * (r - 1) + (k - j,)) * t_value((1,) * j + (m + 1,))
-                    rhs_terms.append(prod.scale((-1) ** j))
-                log.numeric(
-                    "level2.t-binomial-symmetry",
-                    {"m": m, "r": r, "k": k},
-                    sum_results(left),
-                    sum_results(rhs_terms),
-                    tolerance,
-                )
-    for m in m_values:
-        pieces = [
-            t0_value((m - a + 1, a + 2)).scale(a + 1) for a in range(m + 1)
-        ]
-        pieces.append(t0_value((2, m + 1)))
-        pieces.append(t0_value((1, m + 2)).scale(m + 1))
-        rhs = t0_value((2,)) * t0_value((m + 1,))
-        log.numeric(
-            "level2.oddeven-display",
-            {"m": m},
-            sum_results(pieces),
-            rhs,
-            tolerance,
-        )
+        lhs, rhs = _oddeven_display_sides(m, t0_value)
+        log.numeric("level2.oddeven-display", {"m": m}, lhs, rhs, tolerance)
     return log.rows
+
+
+def _t_binomial_sides(m: int, r: int, k: int, value) -> tuple[EvalResult, EvalResult]:
+    left = positive_terms(_height_one(r, k), m + 1, value)
+    for a in compositions(r, k):
+        idx = tuple(ai + 1 for ai in a[:-1]) + (a[-1] + m + 1,)
+        left.append(value(idx).scale((-1) ** k * math.comb(a[-1] + m, m)))
+    rhs_terms = []
+    for j in range(k - 1):
+        prod = value((1,) * (r - 1) + (k - j,)) * value((1,) * j + (m + 1,))
+        rhs_terms.append(prod.scale((-1) ** j))
+    return sum_results(left), sum_results(rhs_terms)
+
+
+def _oddeven_display_sides(m: int, value) -> tuple[EvalResult, EvalResult]:
+    # `value` reads parity-restricted values, without the 2^depth of T.
+    pieces = [value((m - a + 1, a + 2)).scale(a + 1) for a in range(m + 1)]
+    pieces.append(value((2, m + 1)))
+    pieces.append(value((1, m + 2)).scale(m + 1))
+    return sum_results(pieces), value((2,)) * value((m + 1,))
 
 
 # Where the quadrature stops, and the depth of mpmath's tanh-sinh rule.
@@ -307,10 +332,10 @@ def psi_depth1_integral(k: int, s: int) -> EvalResult:
     """psi(k; s) for depth one by direct quadrature of the hyperbolic
     integral.
 
-    The integrand takes Ath(k; tanh(t/2)) = Li_k(e^(-u)) - 2^(-k)
-    Li_k(e^(-2u)) from the polylogarithm near 1, with u = -log tanh(t/2)
-    written as 2 arctanh(e^(-t)) from t = 1 on, which avoids cancellation
-    for large t.  The discarded range beyond _UPPER is covered by an
+    The integrand takes Ath(k; tanh(t/2)) = Ath_k(e^(-u)) from one call of
+    the polylogarithm near 1 at letter 2, with u = -log tanh(t/2) written
+    as 2 arctanh(e^(-t)) from t = 1 on, which avoids cancellation for
+    large t.  The discarded range beyond _UPPER is covered by an
     explicit incomplete-gamma bound.
 
     The rest of the error bound is not rigorous.  It is mpmath's own
@@ -330,8 +355,7 @@ def psi_depth1_integral(k: int, s: int) -> EvalResult:
             u = -mpmath.log(mpmath.tanh(t / 2))
         else:
             u = 2 * mpmath.atanh(mpmath.e ** (-t))
-        ath = polylog_near_one(k, u).value - polylog_near_one(k, 2 * u).value / 2**k
-        return t ** (s - 1) * ath / mpmath.sinh(t)
+        return t ** (s - 1) * polylog_near_one(k, u, 2).value / mpmath.sinh(t)
 
     v, e = mpmath.quad(integrand, [0, 1, _UPPER], error=True, maxdegree=_MAXDEGREE)
     tail = 4 * zk.value / ((1 - mpmath.e**-2) * gamma_s) * mpmath.gammainc(s, _UPPER)
@@ -368,6 +392,7 @@ def odd_zeta_relation_check(
     """Depth one of the parity-restricted family is an explicit multiple
     of zeta: the odd-argument sum equals (1 - 2^(-s)) zeta(s)."""
     log = RowLog()
+    _preload_path_splits([(s,) for s in s_values], 2)
     for s in s_values:
         log.numeric(
             "level2.odd-zeta-product",

@@ -27,9 +27,9 @@ only convolve cached values.  No coefficient list outlives its walk.
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
 name it.  Three caches keep what is asked for again: the value of each word
-integral at its exact point, each path-split result, and, per k, the
-u-independent coefficients of polylog_near_one.  The last is keyed on k
-alone for the same reason: every entry is built after the lock.
+integral at its exact point, each path-split result, and, per (k, letter),
+the u-independent coefficients of polylog_near_one.  The last is keyed on
+(k, letter) alone for the same reason: every entry is built after the lock.
 """
 
 from __future__ import annotations
@@ -325,8 +325,10 @@ def _preload_path_splits(indices, letter: int) -> None:
     """Evaluate, in one walk, every word value that the path splits of
     `indices` read, so that the splits themselves only convolve cached
     values.  For a sweep over many indices this builds each shared
-    suffix once, where split by split it would be rebuilt per word."""
+    suffix once, where split by split it would be rebuilt per word.  A
+    divergent index raises PoleError, as its own split would."""
     _activate()
+    indices = [_require_admissible(parts) for parts in indices]
     words = {w[j:] for parts in indices for w in _split_words(parts, letter) for j in range(len(w))}
     _word_values(words, _split_point(letter))
 
@@ -568,99 +570,130 @@ class _FixedSeries:
 
 @dataclass(frozen=True)
 class _NearOneTable:
-    """The u-independent parts of polylog_near_one for one k."""
+    """The u-independent parts of polylog_near_one for one (k, letter)."""
 
-    series: _FixedSeries  # (-1)^j zeta(k-j)/j! for j = 0..j_top, 0 at j = k-1
-    # The error of the zeta values in those coefficients, sum_j bound/j!,
+    # c_j (-1)^j zeta(k-j)/j! for j = 0..j_top, 0 at j = k-1, where c_j is 1
+    # at letter 1 and 1 - 2^(j-k) at letter 2.
+    series: _FixedSeries
+    # The error of the zeta values in those coefficients, sum_j c_j bound/j!,
     # which bounds its effect at every u < 1.
     series_error: Any
-    harmonic: Any  # H_(k-1)
-    exp_series: _FixedSeries  # 0, then 1/n^k for n = 1, 2, ... as far as u = 1 needs
+    # The truncated tail at u = 1; it grows with u, so it bounds every u < 1.
+    series_tail: Any
+    # The logarithmic term is log_scale u^(k-1) (log_shift - ln u).
+    log_scale: Any  # (-1)^(k-1) / (letter (k-1)!)
+    log_shift: Any  # H_(k-1), plus ln 2 at letter 2
+    # 1/(letter i + 1)^k for i = 0, 1, ... as far as u = 1 needs.
+    exp_series: _FixedSeries
 
 
-# Keyed on k alone: the precision is locked before the first evaluation.
-_near_one_tables: dict[int, _NearOneTable] = {}
+# Keyed on (k, letter) alone: the precision is locked before the first
+# evaluation.
+_near_one_tables: dict[tuple[int, int], _NearOneTable] = {}
 
 
-def _exp_series_terms(uv) -> int:
-    # Terms of sum q^n/n^k, q = e^(-u), until q^n falls below precision.
-    return int((_state["prec"] + 16) * math.log(2) / float(uv)) + 2
+def _exp_series_terms(x_log) -> int:
+    # Terms of a series in x = e^(-x_log) with coefficients at most 1,
+    # until x^n falls below 2^-(prec + 16) e^(-x_log).
+    return int((_state["prec"] + 16) * math.log(2) / float(x_log)) + 2
 
 
-def _near_one_table(k: int) -> _NearOneTable:
-    hit = _near_one_tables.get(k)
+def _near_one_table(k: int, letter: int) -> _NearOneTable:
+    hit = _near_one_tables.get((k, letter))
     if hit is not None:
         return hit
     frac_bits = _state["prec"] + 32
     scale = 1 << frac_bits
+    # Past j_top the terms involve zeta at negative integers; via the
+    # Bernoulli growth rate |zeta(-m)| <= 4 m! / (2 pi)^(m+1), and
+    # |1 - 2^m| < 2^m at letter 2, they are dominated by a geometric
+    # series in u letter/(2 pi).  At letter 2 take as many more terms as
+    # keep its tail at u = 1 no larger than at letter 1.
+    two_pi = 2 * mpmath.pi
+    ratio = letter / two_pi
     j_top = _state["prec"] // 2 + 48
+    j_top = math.ceil(j_top * math.log(2 * math.pi) / math.log(2 * math.pi / letter))
     coeffs = []
     error = mpmath.mpf(0)
     for j in range(j_top + 1):
+        even_part = 1 - (letter - 1) * Fraction(2**j, 2**k)
         if k - j >= 2:
             zr = mzv((k - j,))
-            coeffs.append(round((-1) ** j * _exact(zr.value) * scale / math.factorial(j)))
-            error += zr.error_bound / math.factorial(j)
+            coeffs.append(round((-1) ** j * even_part * _exact(zr.value) * scale / math.factorial(j)))
+            error += _mpf(even_part) * zr.error_bound / math.factorial(j)
         elif j == k - 1:
             coeffs.append(0)
         else:
-            coeffs.append(round((-1) ** j * zeta_nonpositive(k - j) * scale / math.factorial(j)))
-    n_top = _exp_series_terms(1)
-    inv_powers = [0] + [round(Fraction(scale, n**k)) for n in range(1, n_top + 1)]
+            value = even_part * zeta_nonpositive(k - j)
+            coeffs.append(round((-1) ** j * value * scale / math.factorial(j)))
+    n_top = _exp_series_terms(letter)
+    inv_powers = [round(Fraction(scale, (letter * i + 1) ** k)) for i in range(n_top)]
+    harmonic = _mpf(sum(Fraction(1, i) for i in range(1, k)))
     table = _NearOneTable(
         series=_FixedSeries.build(coeffs, frac_bits),
         series_error=error,
-        harmonic=_mpf(sum(Fraction(1, i) for i in range(1, k))),
+        series_tail=4 / two_pi * ratio ** (j_top + 1 - k) / (1 - ratio),
+        log_scale=_mpf(Fraction((-1) ** (k - 1), letter * math.factorial(k - 1))),
+        log_shift=harmonic if letter == 1 else harmonic + mpmath.log(2),
         exp_series=_FixedSeries.build(inv_powers, frac_bits),
     )
-    _near_one_tables[k] = table
+    _near_one_tables[(k, letter)] = table
     return table
 
 
-def polylog_near_one(k: int, u) -> EvalResult:
-    """Li_k(e^(-u)) for integer k >= 2 and u > 0.
+def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
+    """Li_k(e^(-u)) for integer k >= 2 and u > 0 at letter 1; at letter 2
+    the level-two polylogarithm Ath_k(e^(-u)) = sum over odd n of
+    e^(-nu)/n^k, which is Li_k(e^(-u)) - 2^(-k) Li_k(e^(-2u)).
 
-    For u >= 1 the defining series sum q^n/n^k, q = e^(-u), converges
-    fast.  Below 1 the series in u is used instead: a single logarithmic
-    term (-u)^(k-1)/(k-1)! (H_(k-1) - ln u) plus sum_j zeta(k-j) (-u)^j / j!
+    For u >= 1 the defining series, q times sum_i x^i/(letter i + 1)^k
+    with q = e^(-u) and x = q^letter, converges fast.  Below 1 the series
+    in u is used instead: a single logarithmic term
+    (-u)^(k-1)/(k-1)! (H_(k-1) - ln u) plus sum_j zeta(k-j) (-u)^j / j!
     over j != k-1, with exact values at nonpositive integers (DLMF 25.12).
-    The two branches agree at the seam, which tests pin down.
+    At letter 2, subtracting the same expansion at 2u scales coefficient
+    j by 1 - 2^(j-k) and turns the logarithmic term into
+    (-u)^(k-1)/(k-1)! (H_(k-1) + ln 2 - ln u)/2.  The two branches agree
+    at the seam, which tests pin down.
 
-    Everything that does not depend on u (the coefficients zeta(k-j)/j!,
-    H_(k-1), and the 1/n^k) is computed once per k, on the first call,
-    with the coefficients rounded to ints scaled by 2^F, F = prec + 32.
-    Each call evaluates its sum by Horner's rule in F-bit fixed point, at
-    x = u or x = q.  The bound counts the rounding in units of 2^-F: one
-    per floor, half per rounded coefficient, and the error of x times the
-    table's slope bound.  It adds the error of the zeta values and the
-    truncated tail.
+    Everything that does not depend on u (the coefficients, the constants
+    of the logarithmic term, the 1/(letter i + 1)^k and the bound on the
+    truncated tail of the series in u) is computed once per (k, letter),
+    on the first call, with the coefficients rounded to ints scaled by
+    2^F, F = prec + 32.  Each call evaluates its sum by Horner's rule in
+    F-bit fixed point, at x = u or at x = q^letter.  The bound counts the
+    rounding in units of 2^-F: one per floor, half per rounded
+    coefficient, and the error of x times the table's slope bound.  It
+    adds the error of the zeta values and the truncated tail.
     """
     _activate()
     require_int(k, "k", 2)
+    if letter not in (1, 2):
+        raise ValueError(f"letter must be 1 or 2, got {letter!r}")
     uv = _mpf(u)
     if not uv > 0:
         raise ValueError("u must be positive")
-    table = _near_one_table(k)
+    table = _near_one_table(k, letter)
     if uv >= 1:
-        n_terms = _exp_series_terms(uv)
-        # q carries well under one unit of error before the floor, so the
-        # point is within two.
+        # x^n_terms <= 2^-(prec+16) e^(-letter u), so the tail
+        # q x^n_terms / (1 - x) stays under 2^-(prec+16).
+        n_terms = _exp_series_terms(letter * uv)
+        # q and x carry well under one unit of error before the floor, so
+        # the point is within two.  Multiplying by q < 1/e shrinks the
+        # rounding, and q's own error moves the sum (under 2) by far less
+        # than the unit that rounding holds at least.
         with mpmath.workprec(table.exp_series.frac_bits + 8):
             q = mpmath.exp(-uv)
-        total, rounding = table.exp_series.evaluate(q, 2, n_terms + 1)
-        tail = q ** (n_terms + 1) / (1 - q)
-        return EvalResult(total, rounding + tail + _smear(total), "exponential-series")
+            x = q if letter == 1 else q * q
+        total, rounding = table.exp_series.evaluate(x, 2, n_terms)
+        value = q * total
+        tail = mpmath.ldexp(1, -(_state["prec"] + 16))
+        return EvalResult(value, rounding + tail + _smear(value), "exponential-series")
 
     total, rounding = table.series.evaluate(uv, 1, len(table.series.coeffs))
-    total += (-uv) ** (k - 1) / math.factorial(k - 1) * (table.harmonic - mpmath.log(uv))
-    bound = rounding + table.series_error
-    # Remaining terms involve zeta at negative integers; via the Bernoulli
-    # growth rate |zeta(-m)| <= 4 m! / (2 pi)^(m+1) they are dominated by
-    # a geometric series in u/(2 pi).
-    j_top = len(table.series.coeffs) - 1
-    ratio = uv / (2 * mpmath.pi)
-    tail = 4 / (2 * mpmath.pi) * uv**k * ratio ** (j_top + 1 - k) / (1 - ratio)
-    return EvalResult(total, bound + tail + _smear(total), "near-one-expansion")
+    total += table.log_scale * uv ** (k - 1) * (table.log_shift - mpmath.log(uv))
+    bound = rounding + table.series_error + table.series_tail
+    return EvalResult(total, bound + _smear(total), "near-one-expansion")
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +727,7 @@ def direct_oracle_check(cutoff: int = 100_000, tolerance: float = 1e-8):
     stays honest even where the truncation error dwarfs the tolerance.
     """
     log = RowLog()
+    _preload_path_splits(_ORACLE_SLATE_T0, 2)
     for parts in _ORACLE_SLATE_ZETA:
         log.numeric(
             "mzv.direct-sum-crosscheck",

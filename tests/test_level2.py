@@ -109,15 +109,15 @@ def test_both_levels_catch_a_fault_in_a_shared_formula(helper, monkeypatch):
 
 @pytest.mark.parametrize("branch", ["series", "exp_series"])
 def test_psi_check_fails_on_a_nudged_near_one_coefficient(branch, monkeypatch):
-    # One coefficient of either fixed-point table of polylog_near_one,
-    # off by one part in a million, must show in the quadrature's row.
-    table = mzv_numeric._near_one_table(2)
+    # The leading coefficient of either fixed-point table of the level-two
+    # polylogarithm near 1, off by one part in a million, must show in the
+    # quadrature's row.
+    table = mzv_numeric._near_one_table(2, 2)
     series = getattr(table, branch)
     coeffs = list(series.coeffs)
-    j = 0 if branch == "series" else 1
-    coeffs[j] += coeffs[j] // 10**6
+    coeffs[0] += coeffs[0] // 10**6
     nudged = dataclasses.replace(table, **{branch: dataclasses.replace(series, coeffs=tuple(coeffs))})
-    monkeypatch.setitem(mzv_numeric._near_one_tables, 2, nudged)
+    monkeypatch.setitem(mzv_numeric._near_one_tables, (2, 2), nudged)
     reports = psi_depth1_integral_check(k_values=(2,), s_values=(1,))
     assert [r.status for r in reports] == ["fail"]
 

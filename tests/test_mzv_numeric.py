@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import akzkit
-from akzkit import mzv_numeric
+from akzkit import level2, mzv_numeric
 from akzkit.index_algebra import dual, indices_up_to_weight, weight, word
-from akzkit.level2 import height_one_duality_check
+from akzkit.level2 import height_one_duality_check, psi_formula_crosscheck
 from akzkit.mzv_numeric import (
     EvalResult,
     PoleError,
@@ -141,39 +141,55 @@ _NEAR_ONE_SERIES_U = ("1e-20", "1e-6", "1e-3", "0.05", "0.4", "0.77", "0.999", "
 _NEAR_ONE_EXP_U = ("1.0", "1.0001", "1.54", "2.0", "8.0", "30", "69.6", "365", "730")
 
 
-def _within_polylog_bound(k, u):
+def _polylog_reference(k, u, letter):
+    # Li_k(q) at letter 1; the odd-n part Li_k(q) - 2^(-k) Li_k(q^2) at 2.
+    q = mpmath.exp(-u)
+    ref = mpmath.polylog(k, q)
+    return ref if letter == 1 else ref - mpmath.polylog(k, q * q) / 2**k
+
+
+def _within_polylog_bound(k, u, letter):
     # The reference carries twice the working precision and more, so its
     # own error is far below the bound under test.
-    got = polylog_near_one(k, u)
+    got = polylog_near_one(k, u, letter)
     with mpmath.workprec(2 * current_precision() + 64):
-        ref = mpmath.polylog(k, mpmath.exp(-u))
-        return abs(got.value - ref) <= got.error_bound
+        return abs(got.value - _polylog_reference(k, u, letter)) <= got.error_bound
 
 
 def test_polylog_near_one_series_side():
     for u in _NEAR_ONE_SERIES_U:
         for k in (2, 3, 4, 5):
-            assert _within_polylog_bound(k, mpmath.mpf(u)), (k, u)
+            for letter in (1, 2):
+                assert _within_polylog_bound(k, mpmath.mpf(u), letter), (k, u, letter)
 
 
 def test_polylog_near_one_exponential_side():
     for u in _NEAR_ONE_EXP_U:
         for k in (2, 3, 4, 5):
-            assert _within_polylog_bound(k, mpmath.mpf(u)), (k, u)
+            for letter in (1, 2):
+                assert _within_polylog_bound(k, mpmath.mpf(u), letter), (k, u, letter)
 
 
 def test_polylog_near_one_builds_its_table_once_per_k(monkeypatch):
+    # One table per (k, letter).
     monkeypatch.setattr(mzv_numeric, "_near_one_tables", {})
-    polylog_near_one(4, mpmath.mpf("0.5"))
+    polylog_near_one(4, mpmath.mpf("0.5"), 1)
+    polylog_near_one(4, mpmath.mpf("0.5"), 2)
 
     def forbidden(*args):
         raise AssertionError("the coefficient table was rebuilt")
 
     monkeypatch.setattr(mzv_numeric, "mzv", forbidden)
     monkeypatch.setattr(mzv_numeric, "zeta_nonpositive", forbidden)
-    for u in ("1e-20", "0.01", "0.77", "1.3", "1.54", "5", "30"):
-        assert _within_polylog_bound(4, mpmath.mpf(u)), u
-    assert list(mzv_numeric._near_one_tables) == [4]
+    for letter in (1, 2):
+        for u in ("1e-20", "0.01", "0.77", "1.3", "1.54", "5", "30"):
+            assert _within_polylog_bound(4, mpmath.mpf(u), letter), (letter, u)
+    assert list(mzv_numeric._near_one_tables) == [(4, 1), (4, 2)]
+
+
+def test_polylog_near_one_rejects_an_unknown_letter():
+    with pytest.raises(ValueError, match="letter must be 1 or 2"):
+        polylog_near_one(2, mpmath.mpf("0.5"), 3)
 
 
 def test_polylog_near_one_bounds_hold_at_64_bits():
@@ -187,10 +203,14 @@ def test_polylog_near_one_bounds_hold_at_64_bits():
         f"for u in {_NEAR_ONE_SERIES_U + _NEAR_ONE_EXP_U!r}:\n"
         "    u = mpmath.mpf(u)\n"
         "    for k in (2, 3, 4, 5):\n"
-        "        got = polylog_near_one(k, u)\n"
-        "        with mpmath.workprec(2 * 64 + 64):\n"
-        "            ref = mpmath.polylog(k, mpmath.exp(-u))\n"
-        "            assert abs(got.value - ref) <= got.error_bound, (k, u)\n"
+        "        for letter in (1, 2):\n"
+        "            got = polylog_near_one(k, u, letter)\n"
+        "            with mpmath.workprec(2 * 64 + 64):\n"
+        "                q = mpmath.exp(-u)\n"
+        "                ref = mpmath.polylog(k, q)\n"
+        "                if letter == 2:\n"
+        "                    ref -= mpmath.polylog(k, q * q) / 2**k\n"
+        "                assert abs(got.value - ref) <= got.error_bound, (k, u, letter)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
     done = subprocess.run(
@@ -277,6 +297,23 @@ def test_a_cold_duality_sweep_builds_each_suffix_once(monkeypatch):
     height_one_duality_check()
     grid = [(1,) * (r - 1) + (k + 1,) for r in range(1, 5) for k in range(r, 5)]
     assert len(steps) == len(_suffixes_of_sweep(grid))
+
+
+def test_a_cold_psi_crosscheck_builds_each_suffix_once(monkeypatch):
+    # Split by split, the cold crosscheck rebuilt its chains in 516 steps.
+    steps = _count_symbol_steps(monkeypatch)
+    monkeypatch.setattr(mzv_numeric, "_value_cache", {})
+    monkeypatch.setattr(mzv_numeric, "_result_cache", {})
+    read = []
+
+    def recording_t_value(k):
+        value = t_value(k)  # a divergent index raises and reads nothing
+        read.append(k)
+        return value
+
+    monkeypatch.setattr(level2, "t_value", recording_t_value)
+    psi_formula_crosscheck()
+    assert len(steps) == len(_suffixes_of_sweep(read)) == 114
 
 
 def test_every_cached_word_value_is_the_value_of_that_word_alone(monkeypatch):
