@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the requested computation succeeds (and, for verify
 commands, every report passes), 1 when a verify command finds failures,
-2 for usage errors or computational dead ends (divergent values, bad
-indices, precision conflicts).
+2 for usage errors, computational dead ends (divergent values, bad
+indices, precision conflicts) and a report file that cannot be written.
 """
 
 from __future__ import annotations
@@ -204,6 +204,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type for a finite tolerance of at least 0: inf would
+    pass every row and nan or a negative one would fail every row."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def _add_digits(parser) -> None:
     parser.add_argument(
         "--digits",
@@ -267,12 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--max", type=_int_at_least(1), default=4, help="range cap where the target takes one"
     )
-    q.add_argument("--tol", type=float, default=1e-8)
+    q.add_argument("--tol", type=_tolerance, default=1e-8)
     q.add_argument("--json", default=None, help="write reports as JSON ('-' for stdout)")
     q.set_defaults(func=_cmd_level2_verify)
 
     p = sub.add_parser("verify-all", help="run every identity check in the package")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument(
         "--max-weight",
         type=_int_at_least(2),
@@ -302,7 +314,7 @@ def run_command(argv: list[str]) -> int:
         if args.prec_bits is not None:
             configure(args.prec_bits)
         return args.func(args)
-    except (PoleError, ValueError, RuntimeError) as exc:
+    except (PoleError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ from .reports import RowLog, VerificationReport
 
 __all__ = [
     "TruncatedSeries",
-    "one_minus_exp",
     "compose_one_minus_exp",
     "exact_power",
     "mpl_coeffs",
@@ -73,11 +72,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, cap: int) -> "TruncatedSeries":
         return cls((_ZERO,) * (cap + 1))
-
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        if cap > self.cap:
-            raise ValueError(f"cannot extend cap {self.cap} to {cap}")
-        return TruncatedSeries(self.coeffs[: cap + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.cap, other.cap)
@@ -139,18 +133,6 @@ class TruncatedSeries:
             if a:
                 acc = TruncatedSeries((acc.coeffs[0] + a,) + acc.coeffs[1:])
         return acc
-
-
-def one_minus_exp(sign: int, cap: int) -> TruncatedSeries:
-    """The series of 1 - e^(sign*t); sign must be +1 or -1."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    coeffs = [_ZERO]
-    power = _ONE
-    for j in range(1, cap + 1):
-        power = power * sign / j
-        coeffs.append(-power)
-    return TruncatedSeries(tuple(coeffs))
 
 
 def _ordered_bell_rows():

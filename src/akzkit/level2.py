@@ -29,7 +29,7 @@ from .index_algebra import compositions, indices_up_to_weight, require_index, re
 from .mzv_numeric import (
     EvalResult,
     PoleError,
-    _preload_path_splits,
+    _path_splits,
     _require_admissible,
     bernoulli_number,
     polylog_near_one,
@@ -206,8 +206,8 @@ def psi_alternating_form(r: int, k: int, m: int) -> EvalResult:
 
 
 def _preload_t_values(formulas) -> None:
-    """Evaluate, in one walk, every word that the T values read by
-    `formulas` need, so that a sweep over them builds each shared suffix
+    """Evaluate, from one walk over their words, the T values that
+    `formulas` read, so that a sweep over them builds each shared suffix
     once.
 
     Each formula takes the function it reads T (or T0) values with.  It
@@ -226,7 +226,7 @@ def _preload_t_values(formulas) -> None:
             formula(record)
         except PoleError:
             pass
-    _preload_path_splits(indices, 2)
+    _path_splits(indices, 2)
 
 
 def _psi_sides(r: int, k: int, m: int, value) -> tuple[EvalResult, EvalResult]:
@@ -262,7 +262,7 @@ def height_one_duality_check(max_rk: int = 4, tolerance: float = 1e-8) -> list[V
     log = RowLog()
     grid = [(r, k) for r in range(1, max_rk + 1) for k in range(r, max_rk + 1)]
     # Each index's path split reads its dual's word too.
-    _preload_path_splits([_height_one(r, k + 1) for r, k in grid], 2)
+    _path_splits([_height_one(r, k + 1) for r, k in grid], 2)
     for r, k in grid:
         log.numeric(
             "level2.ht1-duality",
@@ -392,7 +392,7 @@ def odd_zeta_relation_check(
     """Depth one of the parity-restricted family is an explicit multiple
     of zeta: the odd-argument sum equals (1 - 2^(-s)) zeta(s)."""
     log = RowLog()
-    _preload_path_splits([(s,) for s in s_values], 2)
+    _path_splits([(s,) for s in s_values], 2)
     for s in s_values:
         log.numeric(
             "level2.odd-zeta-product",

@@ -17,12 +17,12 @@ Both levels share one engine.
 The path split of an index needs the values of every suffix of two words,
 the word of the index and the word of its dual.  Each suffix is the
 next shorter one with one more outer symbol, so words are built from the
-innermost symbol outwards: one walk over a set of words at one point
-builds each suffix they share once, keeping one coefficient list per
-depth, and evaluates every word on its list.  A single split walks each
-of its two words on its own; a sweep over an explicit list of indices
-walks all of their words at once before its first split, so its splits
-only convolve cached values.  No coefficient list outlives its walk.
+innermost symbol outwards, in one walk over the trie of the reversed
+words at one point: each suffix they share is built once, and a
+coefficient list is kept only where the trie branches.  Every split,
+single or one of a sweep over an explicit list of indices, goes through
+one entry that walks all the words of its uncached splits at once and
+then convolves them.  No coefficient list outlives its walk.
 
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
@@ -224,15 +224,15 @@ def _word_values(words, z) -> dict[tuple, tuple]:
     the empty word has value 1.
 
     The words that _value_cache lacks are built in one depth-first walk
-    over their symbols, innermost first, in the order of their reversed
-    symbols.  Words that share innermost symbols are then adjacent, and
-    each word starts from the list of the innermost symbols it shares
-    with the word before it: one symbol step per distinct suffix of a
-    missing word, all at the cap of the longest missing word.  A list is
-    kept only while a later word starts from it, so a single chain holds
-    no more lists than one step needs.  Each word is evaluated at its own
-    cap on its list; since coefficient n never depends on the cap, each
-    value is the one its word would get alone."""
+    over the trie of their reversed symbols.  Each node of the trie is a
+    distinct suffix of a missing word, innermost symbol first, and costs
+    one symbol step from its parent's list, all at the cap of the longest
+    missing word.  Along a run of single children the walk replaces its
+    list as it goes; a list is held only at a node where the trie
+    branches, until its last child has stepped from it.  Each word is
+    evaluated at its own cap on its node's list; since coefficient n
+    never depends on the cap, each value is the one its word would get
+    alone."""
     point = z._mpf_
     out: dict[tuple, tuple] = {}
     missing: dict[tuple, tuple[int, int]] = {}  # word -> (cap, ones)
@@ -248,89 +248,73 @@ def _word_values(words, z) -> dict[tuple, tuple]:
             missing[w] = (_series_cap_for(z, ones), ones)
     if not missing:
         return out
-    inners = sorted(w[::-1] for w in missing)
-    # starts[i]: how many innermost symbols word i shares with word i - 1.
-    # No word is a prefix of the one before it, so the scan stays in range.
-    starts = [0]
-    for prev, inner in zip(inners, inners[1:]):
-        shared = 0
-        while shared < len(prev) and prev[shared] == inner[shared]:
-            shared += 1
-        starts.append(shared)
-    last_start = {d: i for i, d in enumerate(starts)}
-    kept = {0: [mpmath.mpf(1)] + [mpmath.mpf(0)] * max(cap for cap, _ in missing.values())}
-    for i, inner in enumerate(inners):
-        coeffs = kept[starts[i]]
-        for d in [d for d in kept if last_start[d] <= i]:
-            del kept[d]
-        for d in range(starts[i], len(inner)):
-            coeffs = _symbol_step(coeffs, inner[d])
-            if last_start.get(d + 1, -1) > i:
-                kept[d + 1] = coeffs
-        w = inner[::-1]
-        cap, ones = missing[w]
-        out[w] = _value_cache[(w, point)] = _series_value(coeffs, cap, ones, z)
+    # A node maps each next outer symbol to its child; key None holds the
+    # missing word that ends at the node, if one does.
+    trie: dict = {}
+    for w in missing:
+        node = trie
+        for sym in reversed(w):
+            node = node.setdefault(sym, {})
+        node[None] = w
+    start = [mpmath.mpf(1)] + [mpmath.mpf(0)] * max(cap for cap, _ in missing.values())
+    stack = [(start, sym, child) for sym, child in trie.items()]
+    while stack:
+        coeffs, sym, node = stack.pop()
+        coeffs = _symbol_step(coeffs, sym)
+        w = node.pop(None, None)
+        if w is not None:
+            cap, ones = missing[w]
+            out[w] = _value_cache[(w, point)] = _series_value(coeffs, cap, ones, z)
+        stack.extend((coeffs, s, child) for s, child in node.items())
     return out
 
 
-def _split_point(letter: int):
-    return mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
-
-
-def _split_words(parts: tuple[int, ...], letter: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # The upper pieces of a path split are the suffixes of the index's
-    # word.  The lower pieces are the prefixes of the reversed,
-    # letter-swapped word, which is the dual's word: prefix j is suffix
-    # L - j of it, so both sides are suffixes.
-    return tuple(letter * s for s in word(parts)), tuple(letter * s for s in word(dual(parts)))
-
-
-def _path_split(parts: tuple[int, ...], letter: int) -> EvalResult:
-    """The word integral of the index from 0 to 1, split at the fixed
-    point of the involution that swaps dt/t with dt/(1-t^letter):
+def _path_splits(indices, letter: int) -> list[EvalResult]:
+    """The word integral from 0 to 1 of each index, in order, split at the
+    fixed point of the involution that swaps dt/t with dt/(1-t^letter):
     t -> 1-t at level one (point 1/2), t -> (1-t)/(1+t) at level two
     (point sqrt(2)-1).  The upper piece maps onto a lower piece of the
     reversed, letter-swapped word, turning the value into a finite
     convolution of rapidly converging pieces (Borwein, Bradley,
     Broadhurst and Lisonek, "Special values of multiple polylogarithms",
-    2001)."""
-    key = (letter, parts)
-    hit = _result_cache.get(key)
-    if hit is not None:
-        return hit
-    point = _split_point(letter)
-    upper_word, lower_word = _split_words(parts, letter)
-    length = len(upper_word)
-    # One walk per word, so each chain is built at its own cap.
-    upper = _word_values([upper_word[j:] for j in range(length + 1)], point)
-    lower = _word_values([lower_word[j:] for j in range(length + 1)], point)
-    total = mpmath.mpf(0)
-    bound = mpmath.mpf(0)
-    # The level-two involution carries dt/t to 2 dt/(1-t^2) and
-    # dt/(1-t^2) to dt/(2t); at level one the forms swap with factor 1.
-    factor = mpmath.mpf(1)
-    for j in range(length + 1):
-        if j > 0 and letter == 2:
-            factor *= 2 if upper_word[j - 1] == 0 else mpmath.mpf(1) / 2
-        a, ea = lower[lower_word[length - j :]]
-        b, eb = upper[upper_word[j:]]
-        total += factor * a * b
-        bound += factor * (abs(a) * eb + abs(b) * ea + ea * eb)
-    res = EvalResult(total, bound + _smear(total), "path-split-convolution")
-    _result_cache[key] = res
-    return res
+    2001).
 
-
-def _preload_path_splits(indices, letter: int) -> None:
-    """Evaluate, in one walk, every word value that the path splits of
-    `indices` read, so that the splits themselves only convolve cached
-    values.  For a sweep over many indices this builds each shared
-    suffix once, where split by split it would be rebuilt per word.  A
-    divergent index raises PoleError, as its own split would."""
+    Every word value that the uncached splits read is built in one
+    _word_values walk before the first of them is convolved, so a sweep
+    over many indices, and the two words of a single split, build each
+    suffix they share once.  A divergent index raises PoleError before
+    anything is built."""
     _activate()
     indices = [_require_admissible(parts) for parts in indices]
-    words = {w[j:] for parts in indices for w in _split_words(parts, letter) for j in range(len(w))}
-    _word_values(words, _split_point(letter))
+    # The upper pieces of a split are the suffixes of the index's word.
+    # The lower pieces are the prefixes of the reversed, letter-swapped
+    # word, which is the dual's word: prefix j is suffix L - j of it, so
+    # both sides are suffixes.
+    splits = {
+        parts: (tuple(letter * s for s in word(parts)), tuple(letter * s for s in word(dual(parts))))
+        for parts in indices
+        if (letter, parts) not in _result_cache
+    }
+    point = mpmath.mpf(1) / 2 if letter == 1 else mpmath.sqrt(2) - 1
+    suffixes = {w[j:] for pair in splits.values() for w in pair for j in range(len(w) + 1)}
+    values = _word_values(suffixes, point)
+    for parts, (upper_word, lower_word) in splits.items():
+        length = len(upper_word)
+        total = mpmath.mpf(0)
+        bound = mpmath.mpf(0)
+        # The level-two involution carries dt/t to 2 dt/(1-t^2) and
+        # dt/(1-t^2) to dt/(2t); at level one the forms swap with factor 1.
+        factor = mpmath.mpf(1)
+        for j in range(length + 1):
+            if j > 0 and letter == 2:
+                factor *= 2 if upper_word[j - 1] == 0 else mpmath.mpf(1) / 2
+            a, ea = values[lower_word[length - j :]]
+            b, eb = values[upper_word[j:]]
+            total += factor * a * b
+            bound += factor * (abs(a) * eb + abs(b) * ea + ea * eb)
+        res = EvalResult(total, bound + _smear(total), "path-split-convolution")
+        _result_cache[(letter, parts)] = res
+    return [_result_cache[(letter, parts)] for parts in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +334,10 @@ def mzv(k) -> EvalResult:
 
     Raises PoleError when the last part is 1.
     """
-    _activate()
     parts = _require_admissible(k)
-    res = _path_split(parts, 1)
+    res = _result_cache.get((1, parts))
+    if res is None:
+        (res,) = _path_splits([parts], 1)
     if _state["perturb"] and parts == (1, 2):
         return EvalResult(res.value * (1 + mpmath.mpf("1e-6")), res.error_bound, res.method + "+nudge")
     return res
@@ -398,9 +383,11 @@ def mpl_numeric(k, z) -> EvalResult:
 def t0_value(k) -> EvalResult:
     """The parity-restricted zeta value: the defining sum runs over
     0 < m_1 < ... < m_r with m_i = i mod 2."""
-    _activate()
     parts = _require_admissible(k)
-    return _path_split(parts, 2)
+    res = _result_cache.get((2, parts))
+    if res is None:
+        (res,) = _path_splits([parts], 2)
+    return res
 
 
 def t_value(k) -> EvalResult:
@@ -613,6 +600,13 @@ def _near_one_table(k: int, letter: int) -> _NearOneTable:
     ratio = letter / two_pi
     j_top = _state["prec"] // 2 + 48
     j_top = math.ceil(j_top * math.log(2 * math.pi) / math.log(2 * math.pi / letter))
+    if k - 2 > j_top:
+        # The terms past j_top would include zeta at a positive argument,
+        # which that growth rate does not cover.
+        limit = f"at most {j_top + 2} at letter {letter} and {_state['prec']} bits"
+        raise ValueError(f"k must be {limit}, got {k}")
+    # The zeta values at positive arguments, from one walk over their words.
+    _path_splits([(k - j,) for j in range(k - 1)], 1)
     coeffs = []
     error = mpmath.mpf(0)
     for j in range(j_top + 1):
@@ -664,7 +658,10 @@ def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
     F-bit fixed point, at x = u or at x = q^letter.  The bound counts the
     rounding in units of 2^-F: one per floor, half per rounded
     coefficient, and the error of x times the table's slope bound.  It
-    adds the error of the zeta values and the truncated tail.
+    adds the error of the zeta values and the truncated tail.  That tail
+    bound covers only zeta at nonpositive arguments, so k is capped at
+    prec/2 + 50 at letter 1 and somewhat more at letter 2; a larger k
+    raises ValueError.
     """
     _activate()
     require_int(k, "k", 2)
@@ -710,7 +707,7 @@ def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
             d = dual(k)
             if (d, k) not in pairs:
                 pairs.append((k, d))
-    _preload_path_splits([k for k, _ in pairs], 1)
+    _path_splits([k for k, _ in pairs], 1)
     for k, d in pairs:
         log.numeric("mzv.duality", {"index": k, "dual": d}, mzv(k), mzv(d), tolerance)
     return log.rows
@@ -727,7 +724,7 @@ def direct_oracle_check(cutoff: int = 100_000, tolerance: float = 1e-8):
     stays honest even where the truncation error dwarfs the tolerance.
     """
     log = RowLog()
-    _preload_path_splits(_ORACLE_SLATE_T0, 2)
+    _path_splits(_ORACLE_SLATE_T0, 2)
     for parts in _ORACLE_SLATE_ZETA:
         log.numeric(
             "mzv.direct-sum-crosscheck",

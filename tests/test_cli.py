@@ -136,6 +136,15 @@ def test_digits_below_one_is_a_usage_error(digits, capsys):
         (["level2", "verify", "ht1", "--max", "two"], "--max"),
         (["verify-all", "--max-weight", "1"], "--max-weight"),
         (["verify-all", "--max-weight", "0"], "--max-weight"),
+        # A tolerance of inf would pass every row, and nan or a negative
+        # one would fail every row.
+        (["level2", "verify", "oddzeta", "--tol", "inf"], "--tol"),
+        (["level2", "verify", "oddzeta", "--tol", "nan"], "--tol"),
+        (["level2", "verify", "oddzeta", "--tol", "-1"], "--tol"),
+        (["verify-all", "--tol", "inf"], "--tol"),
+        (["verify-all", "--tol", "nan"], "--tol"),
+        (["verify-all", "--tol", "-0.5"], "--tol"),
+        (["verify-all", "--tol", "tight"], "--tol"),
     ],
 )
 def test_a_range_with_no_check_is_a_usage_error(monkeypatch, argv, flag, capsys):
@@ -144,6 +153,7 @@ def test_a_range_with_no_check_is_a_usage_error(monkeypatch, argv, flag, capsys)
     monkeypatch.setattr(akzkit.verify, "verify_all", lambda **kw: ran.append(kw) or [])
     monkeypatch.setattr(akzkit.level2, "height_one_duality_check", lambda **kw: ran.append(kw) or [])
     monkeypatch.setattr(akzkit.level2, "psi_formula_crosscheck", lambda **kw: ran.append(kw) or [])
+    monkeypatch.setattr(akzkit.level2, "odd_zeta_relation_check", lambda **kw: ran.append(kw) or [])
     assert run_command(argv) == 2
     assert flag in capsys.readouterr().err
     assert ran == []
@@ -195,6 +205,19 @@ def test_json_reports_to_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["schema"] == "akzkit-report/1"
     assert all(r["status"] == "pass_numeric" for r in doc["reports"])
+
+
+def test_an_unwritable_json_path_is_an_error_not_a_failure(tmp_path, capsys):
+    # Exit code 1 means a failing identity; this is not one.
+    target = tmp_path / "missing" / "reports.json"
+    assert run_command(["level2", "verify", "oddzeta", "--json", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_the_smallest_tolerance_is_accepted(capsys):
+    assert run_command(["level2", "verify", "oddzeta", "--tol", "0"]) == 0
+    assert "fail=0" in capsys.readouterr().out
 
 
 def test_tval_both_normalizations(capsys):

@@ -16,9 +16,9 @@ from akzkit.exact_series import (
     mpl_coeffs,
     negative_mpl,
     negative_mpl_certificate_check,
-    one_minus_exp,
     stirling2,
 )
+from series_oracles import one_minus_exp, truncate
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=20)
 
@@ -32,7 +32,7 @@ def series(min_size=1, max_size=7):
 @given(series(), series())
 def test_addition_and_subtraction_cancel(a, b):
     cap = min(a.cap, b.cap)
-    assert ((a + b) - b).coeffs == a.truncate(cap).coeffs
+    assert ((a + b) - b).coeffs == truncate(a, cap).coeffs
 
 
 @given(series(), series())
@@ -45,7 +45,7 @@ def test_multiplication_distributes_over_addition(a, b, c):
     cap = min(a.cap, b.cap, c.cap)
     lhs = a * (b + c)
     rhs = a * b + a * c
-    assert lhs.truncate(cap).coeffs == rhs.truncate(cap).coeffs
+    assert truncate(lhs, cap).coeffs == truncate(rhs, cap).coeffs
 
 
 @given(series(), series())
@@ -53,7 +53,7 @@ def test_divide_undoes_multiplication(a, b):
     if b.coeffs[0] == 0:
         b = b + TruncatedSeries.from_list([1], b.cap)
     cap = min(a.cap, b.cap)
-    assert (a * b).divide(b).truncate(cap).coeffs == a.truncate(cap).coeffs
+    assert truncate((a * b).divide(b), cap).coeffs == truncate(a, cap).coeffs
 
 
 def test_divide_requires_a_unit_constant_term():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import akzkit
 from akzkit import level2, mzv_numeric
-from akzkit.index_algebra import dual, indices_up_to_weight, weight, word
+from akzkit.index_algebra import dual, indices_up_to_weight, word
 from akzkit.level2 import height_one_duality_check, psi_formula_crosscheck
 from akzkit.mzv_numeric import (
     EvalResult,
@@ -195,15 +195,19 @@ def test_polylog_near_one_rejects_an_unknown_letter():
 def test_polylog_near_one_bounds_hold_at_64_bits():
     # The fixed-point width and the rounding count follow the precision,
     # so the bounds are checked again in a fresh process at the lowest one.
+    # There the series in u keeps j <= j_top = 80 at letter 1 and 129 at
+    # letter 2.  Past k = j_top + 2 its dropped terms would include zeta at
+    # a positive argument, which the tail bound does not cover, so the
+    # largest k must hold its bound and the next must raise.
     script = (
         "import mpmath\n"
         "from akzkit import configure\n"
         "from akzkit.mzv_numeric import polylog_near_one\n"
         "configure(64)\n"
-        f"for u in {_NEAR_ONE_SERIES_U + _NEAR_ONE_EXP_U!r}:\n"
-        "    u = mpmath.mpf(u)\n"
-        "    for k in (2, 3, 4, 5):\n"
-        "        for letter in (1, 2):\n"
+        "for letter, top in ((1, 82), (2, 131)):\n"
+        f"    for u in {_NEAR_ONE_SERIES_U + _NEAR_ONE_EXP_U!r}:\n"
+        "        u = mpmath.mpf(u)\n"
+        "        for k in (2, 3, 4, 5, top):\n"
         "            got = polylog_near_one(k, u, letter)\n"
         "            with mpmath.workprec(2 * 64 + 64):\n"
         "                q = mpmath.exp(-u)\n"
@@ -211,6 +215,12 @@ def test_polylog_near_one_bounds_hold_at_64_bits():
         "                if letter == 2:\n"
         "                    ref -= mpmath.polylog(k, q * q) / 2**k\n"
         "                assert abs(got.value - ref) <= got.error_bound, (k, u, letter)\n"
+        "    try:\n"
+        "        polylog_near_one(top + 1, mpmath.mpf('0.9'), letter)\n"
+        "    except ValueError as exc:\n"
+        "        assert f'at most {top}' in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError(f'k = {top + 1} was accepted at letter {letter}')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
     done = subprocess.run(
@@ -271,12 +281,14 @@ def _count_symbol_steps(monkeypatch) -> list:
 @pytest.mark.parametrize("k", [(2,), (1, 3), (2, 1, 3), (1, 1, 2, 3)])
 def test_a_cold_path_split_builds_each_chain_once(monkeypatch, evaluate, k):
     # A word of length L has L suffixes and so does its swapped reverse;
-    # built one word at a time they would cost about L^2 steps.
+    # built one word at a time they would cost about L^2 steps.  The two
+    # words of one split share their innermost suffixes, which are built
+    # once: (2, 1, 3) reads 11 distinct suffixes, not 12.
     steps = _count_symbol_steps(monkeypatch)
     monkeypatch.setattr(mzv_numeric, "_value_cache", {})
     monkeypatch.setattr(mzv_numeric, "_result_cache", {})
     evaluate(k)
-    assert 0 < len(steps) <= 2 * weight(k)
+    assert len(steps) == len(_suffixes_of_sweep([k]))
 
 
 def _suffixes_of_sweep(indices) -> set:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from akzkit import pbn
-from akzkit.exact_series import TruncatedSeries, compose_one_minus_exp, mpl_coeffs, one_minus_exp
+from akzkit.exact_series import TruncatedSeries, compose_one_minus_exp, mpl_coeffs
 from akzkit.mzv_numeric import bernoulli_number
 from akzkit.pbn import (
     B_symbolic,
@@ -28,6 +28,7 @@ from akzkit.pbn import (
     poly_bernoulli_C_stirling,
     stirling_oracle_check,
 )
+from series_oracles import one_minus_exp
 
 _SLEEP = 0.2
 
