@@ -320,27 +320,17 @@ def etaxi_relation_check(
 
     checked numerically at the given integer arguments."""
     log = RowLog()
+    reflections = (
+        ("akzeta.eta-from-xi-reflection", eta_at_positive, xi_at_positive),
+        ("akzeta.xi-from-eta-reflection", xi_at_positive, eta_at_positive),
+    )
     for k in indices_up_to_weight(max_weight):
         sign = (-1) ** (depth(k) - 1)
         for m in m_values:
-            lhs = eta_at_positive(k, m)
-            rhs = sum_results([xi_at_positive(ref, m) for ref in refinements(k)]).scale(sign)
-            log.numeric(
-                "akzeta.eta-from-xi-reflection",
-                {"index": k, "m": m},
-                lhs,
-                rhs,
-                tolerance,
-            )
-            lhs2 = xi_at_positive(k, m)
-            rhs2 = sum_results([eta_at_positive(ref, m) for ref in refinements(k)]).scale(sign)
-            log.numeric(
-                "akzeta.xi-from-eta-reflection",
-                {"index": k, "m": m},
-                lhs2,
-                rhs2,
-                tolerance,
-            )
+            for identity, target, source in reflections:
+                lhs = target(k, m)
+                rhs = sum_results([source(ref, m) for ref in refinements(k)]).scale(sign)
+                log.numeric(identity, {"index": k, "m": m}, lhs, rhs, tolerance)
     return log.rows
 
 
@@ -468,26 +458,23 @@ def xi_depth1_enumeration_check(
 
     Both compared against the general combination route."""
     log = RowLog()
+    families = (
+        ("akzeta.xi-depth1-enumeration", xi_at_positive, mzv),
+        ("akzeta.eta-depth1-enumeration", eta_at_positive, mzsv),
+    )
     for k in range(1, max_k + 1):
         for m in range(1, max_m + 1):
             indices = [tuple(c + 1 for c in comp) for comp in compositions(m, k)]
             indices = [j for j in indices if j[-1] >= 2]
-            xi_pieces = [mzv(j).scale(j[-1] - 1) for j in indices]
-            log.numeric(
-                "akzeta.xi-depth1-enumeration",
-                {"k": k, "m": m},
-                xi_at_positive((k,), m),
-                sum_results(xi_pieces, "enumeration"),
-                tolerance,
-            )
-            eta_pieces = [mzsv(j).scale(j[-1] - 1) for j in indices]
-            log.numeric(
-                "akzeta.eta-depth1-enumeration",
-                {"k": k, "m": m},
-                eta_at_positive((k,), m),
-                sum_results(eta_pieces, "enumeration"),
-                tolerance,
-            )
+            for identity, at_positive, value in families:
+                pieces = [value(j).scale(j[-1] - 1) for j in indices]
+                log.numeric(
+                    identity,
+                    {"k": k, "m": m},
+                    at_positive((k,), m),
+                    sum_results(pieces, "enumeration"),
+                    tolerance,
+                )
     return log.rows
 
 

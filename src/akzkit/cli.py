@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import mpmath
@@ -216,6 +217,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _json_target(text: str) -> str:
+    """An argparse type for a report path: '-' for stdout, or a file in a
+    directory that exists and can be written, so that a report that
+    cannot be written is a usage error before the first check runs."""
+    folder = os.path.dirname(os.path.abspath(text))
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK) and not os.path.isdir(text)
+    if text != "-" and not writable:
+        raise argparse.ArgumentTypeError(f"cannot write a report to {text!r}")
+    return text
+
+
 def _add_digits(parser) -> None:
     parser.add_argument(
         "--digits",
@@ -280,7 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max", type=_int_at_least(1), default=4, help="range cap where the target takes one"
     )
     q.add_argument("--tol", type=_tolerance, default=1e-8)
-    q.add_argument("--json", default=None, help="write reports as JSON ('-' for stdout)")
+    q.add_argument(
+        "--json", type=_json_target, default=None, help="write reports as JSON ('-' for stdout)"
+    )
     q.set_defaults(func=_cmd_level2_verify)
 
     p = sub.add_parser("verify-all", help="run every identity check in the package")
@@ -292,7 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest weight of the plain duality sweep (its first index has weight 2)",
     )
     p.add_argument("--jobs", type=int, default=1, help="accepted; tasks run serially")
-    p.add_argument("--json", default=None, help="write reports as JSON ('-' for stdout)")
+    p.add_argument(
+        "--json", type=_json_target, default=None, help="write reports as JSON ('-' for stdout)"
+    )
     p.add_argument(
         "--inject-perturbation",
         action="store_true",

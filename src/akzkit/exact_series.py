@@ -1,13 +1,14 @@
 """Exact truncated power series and closed rational forms.
 
 Everything in this module is exact rational arithmetic: truncated Taylor
-series with Fraction coefficients, composition with 1 - e^(s*t), multiple
-polylogarithm coefficient tables for arbitrary integer exponents, and the
-closed form P(z)/(1-z)^d of a multiple polylogarithm at nonpositive
-exponents, together with a certificate checker for that closed form.
+series with Fraction coefficients, multiple polylogarithm coefficient
+tables for arbitrary integer exponents, the Stirling-number sums that
+the poly-Bernoulli recurrences read, and the closed form P(z)/(1-z)^d of
+a multiple polylogarithm at nonpositive exponents, together with a
+certificate checker for that closed form.
 
 Fraction is the currency of the API only.  The hot loops (series
-products, composition with 1 - e^(s*t), the polylogarithm tables and the
+products, the Stirling-number sums, the polylogarithm tables and the
 Taylor expansion of the closed forms) run in Python ints over one common
 denominator and build one Fraction per output coefficient; the closed
 forms' numerators are integral and are built in ints throughout.
@@ -26,7 +27,6 @@ from .reports import RowLog, VerificationReport
 
 __all__ = [
     "TruncatedSeries",
-    "compose_one_minus_exp",
     "exact_power",
     "mpl_coeffs",
     "stirling2",

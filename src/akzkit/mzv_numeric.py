@@ -26,10 +26,13 @@ then convolves them.  No coefficient list outlives its walk.
 
 Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
-name it.  Three caches keep what is asked for again: the value of each word
-integral at its exact point, each path-split result, and, per (k, letter),
-the u-independent coefficients of polylog_near_one.  The last is keyed on
-(k, letter) alone for the same reason: every entry is built after the lock.
+name it.  Every bound assumes that its value was computed at that
+precision or above, so computing one while mpmath runs below it raises
+RuntimeError; cached values are still served.  Three caches keep what is
+asked for again: the value of each word integral at its exact point, each
+path-split result, and, per (k, letter), the u-independent coefficients
+of polylog_near_one.  The last is keyed on (k, letter) alone for the
+same reason: every entry is built after the lock.
 """
 
 from __future__ import annotations
@@ -88,10 +91,10 @@ _result_cache: dict[tuple, "EvalResult"] = {}
 
 
 def configure(prec_bits: int = _DEFAULT_PREC) -> None:
-    """Set the working precision in bits.  Call before any evaluation;
-    changing it afterwards raises, since cached values would go stale."""
-    if prec_bits < 64:
-        raise ValueError("precision below 64 bits defeats the bound tracking")
+    """Set the working precision in bits, an int of at least 64.  Call
+    before any evaluation; changing it afterwards raises, since cached
+    values would go stale."""
+    require_int(prec_bits, "precision in bits", 64)
     if _state["locked"] and prec_bits != _state["prec"]:
         raise RuntimeError("precision is locked after the first evaluation")
     _state["prec"] = prec_bits
@@ -126,6 +129,11 @@ def _mpf(x: Any):
 def _smear(value) -> Any:
     # Generous cover for accumulated rounding: dozens of guard bits below
     # working precision, far under every tolerance used by the checks.
+    # Every computed bound passes through here.
+    if _state["locked"] and mpmath.mp.prec < _state["prec"]:
+        raise RuntimeError(
+            f"mpmath's precision {mpmath.mp.prec} is below the configured precision {_state['prec']}"
+        )
     return mpmath.ldexp(abs(value) + 1, 40 - _state["prec"])
 
 
@@ -328,6 +336,14 @@ def _require_admissible(k) -> tuple[int, ...]:
     return parts
 
 
+def _split_value(parts: tuple[int, ...], letter: int) -> EvalResult:
+    # The cached path split of an admissible index, built if missing.
+    res = _result_cache.get((letter, parts))
+    if res is None:
+        (res,) = _path_splits([parts], letter)
+    return res
+
+
 def mzv(k) -> EvalResult:
     """The multiple zeta value of an admissible index, summing
     1/(m_1^{k_1} ... m_r^{k_r}) over 0 < m_1 < ... < m_r.
@@ -335,9 +351,7 @@ def mzv(k) -> EvalResult:
     Raises PoleError when the last part is 1.
     """
     parts = _require_admissible(k)
-    res = _result_cache.get((1, parts))
-    if res is None:
-        (res,) = _path_splits([parts], 1)
+    res = _split_value(parts, 1)
     if _state["perturb"] and parts == (1, 2):
         return EvalResult(res.value * (1 + mpmath.mpf("1e-6")), res.error_bound, res.method + "+nudge")
     return res
@@ -383,11 +397,7 @@ def mpl_numeric(k, z) -> EvalResult:
 def t0_value(k) -> EvalResult:
     """The parity-restricted zeta value: the defining sum runs over
     0 < m_1 < ... < m_r with m_i = i mod 2."""
-    parts = _require_admissible(k)
-    res = _result_cache.get((2, parts))
-    if res is None:
-        (res,) = _path_splits([parts], 2)
-    return res
+    return _split_value(_require_admissible(k), 2)
 
 
 def t_value(k) -> EvalResult:
@@ -422,9 +432,10 @@ def _float64_rounding(value: float, stages: int, cutoff: int) -> float:
     return abs(value) * stages * cutoff * 2.3e-16 * 8
 
 
-def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
-    """(value, bound) of the nested sum truncated at m_r <= cutoff, in
-    float64.  The bound adds the discarded terms to the rounding.
+def _nested_sum(k, cutoff: int, parity: bool, method: str) -> EvalResult:
+    """The nested sum of an admissible index, truncated at m_r <= cutoff,
+    in float64, with m_i = i mod 2 when `parity` is set.  The bound adds
+    the discarded terms to the rounding.
 
     For the discarded terms, relax every inner part >= 2 to an independent
     full sum (factor Z), keep the q inner parts equal to 1 mutually
@@ -435,6 +446,9 @@ def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
     """
     import numpy as np
 
+    _activate()
+    parts = _require_admissible(k)
+    cutoff = int(cutoff)
     m = np.arange(cutoff + 1, dtype=np.float64)
     m[0] = 1.0  # placeholder; slot 0 is zeroed after each power
     h = np.ones(cutoff + 1, dtype=np.float64)
@@ -455,25 +469,19 @@ def _nested_sum(parts: tuple[int, ...], cutoff: int, parity: bool):
         if p >= 2:
             z_factor *= 1 + mpmath.mpf(1) / (p - 1)
     tail = z_factor * _iterated_log_tail(q, parts[-1], cutoff) / math.factorial(q)
-    return mpmath.mpf(total), tail + mpmath.mpf(rounding)
+    return EvalResult(mpmath.mpf(total), tail + mpmath.mpf(rounding), method)
 
 
 def mzv_direct(k, cutoff: int = 100_000) -> EvalResult:
     """Truncated nested sum for the multiple zeta value.  Slow and
     low-accuracy by design; its honest tail bound makes it an oracle."""
-    _activate()
-    parts = _require_admissible(k)
-    value, bound = _nested_sum(parts, int(cutoff), parity=False)
-    return EvalResult(value, bound, "direct-sum")
+    return _nested_sum(k, cutoff, False, "direct-sum")
 
 
 def t0_direct(k, cutoff: int = 100_000) -> EvalResult:
     """Truncated nested sum for the parity-restricted value, with the
     level-one tail bound."""
-    _activate()
-    parts = _require_admissible(k)
-    value, bound = _nested_sum(parts, int(cutoff), parity=True)
-    return EvalResult(value, bound, "direct-sum-parity")
+    return _nested_sum(k, cutoff, True, "direct-sum-parity")
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +603,14 @@ def _near_one_table(k: int, letter: int) -> _NearOneTable:
     # Bernoulli growth rate |zeta(-m)| <= 4 m! / (2 pi)^(m+1), and
     # |1 - 2^m| < 2^m at letter 2, they are dominated by a geometric
     # series in u letter/(2 pi).  At letter 2 take as many more terms as
-    # keep its tail at u = 1 no larger than at letter 1.
+    # keep its tail at u = 1 no larger than at letter 1.  Past k = 3, j_top
+    # grows with k, so every dropped term is zeta at a negative integer
+    # and the tail bound is the one at k = 3.
     two_pi = 2 * mpmath.pi
     ratio = letter / two_pi
     j_top = _state["prec"] // 2 + 48
     j_top = math.ceil(j_top * math.log(2 * math.pi) / math.log(2 * math.pi / letter))
-    if k - 2 > j_top:
-        # The terms past j_top would include zeta at a positive argument,
-        # which that growth rate does not cover.
-        limit = f"at most {j_top + 2} at letter {letter} and {_state['prec']} bits"
-        raise ValueError(f"k must be {limit}, got {k}")
+    j_top += max(0, k - 3)
     # The zeta values at positive arguments, from one walk over their words.
     _path_splits([(k - j,) for j in range(k - 1)], 1)
     coeffs = []
@@ -658,10 +664,9 @@ def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
     F-bit fixed point, at x = u or at x = q^letter.  The bound counts the
     rounding in units of 2^-F: one per floor, half per rounded
     coefficient, and the error of x times the table's slope bound.  It
-    adds the error of the zeta values and the truncated tail.  That tail
-    bound covers only zeta at nonpositive arguments, so k is capped at
-    prec/2 + 50 at letter 1 and somewhat more at letter 2; a larger k
-    raises ValueError.
+    adds the error of the zeta values and the truncated tail.  The series
+    in u keeps more terms as k grows, so every truncated term is zeta at
+    a negative integer and the tail bound holds for every k.
     """
     _activate()
     require_int(k, "k", 2)
@@ -725,20 +730,17 @@ def direct_oracle_check(cutoff: int = 100_000, tolerance: float = 1e-8):
     """
     log = RowLog()
     _path_splits(_ORACLE_SLATE_T0, 2)
-    for parts in _ORACLE_SLATE_ZETA:
-        log.numeric(
-            "mzv.direct-sum-crosscheck",
-            {"index": parts, "cutoff": cutoff},
-            mzv(parts),
-            mzv_direct(parts, cutoff),
-            tolerance,
-        )
-    for parts in _ORACLE_SLATE_T0:
-        log.numeric(
-            "t0.direct-sum-crosscheck",
-            {"index": parts, "cutoff": cutoff},
-            t0_value(parts),
-            t0_direct(parts, cutoff),
-            tolerance,
-        )
+    families = (
+        ("mzv.direct-sum-crosscheck", _ORACLE_SLATE_ZETA, mzv, mzv_direct),
+        ("t0.direct-sum-crosscheck", _ORACLE_SLATE_T0, t0_value, t0_direct),
+    )
+    for identity, slate, value, direct in families:
+        for parts in slate:
+            log.numeric(
+                identity,
+                {"index": parts, "cutoff": cutoff},
+                value(parts),
+                direct(parts, cutoff),
+                tolerance,
+            )
     return log.rows

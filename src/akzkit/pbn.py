@@ -208,6 +208,18 @@ def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fra
     return Fraction(total, denominator)
 
 
+def _symbolic(n: int, shift: int) -> DirichletPolynomial:
+    # sum_{m=0..n} (-1)^(n+m) m! S(n + shift, m + shift) (m+1)^(-k): shift
+    # 0 gives the B family and shift 1, after m -> m - 1, the C family.
+    require_int(n, "n", 0)
+    coeffs: dict[int, Fraction] = {}
+    for m in range(n + 1):
+        s = stirling2(n + shift, m + shift)
+        if s:
+            coeffs[m + 1] = Fraction((-1) ** (n + m) * math.factorial(m) * s)
+    return DirichletPolynomial.from_dict(coeffs)
+
+
 def B_symbolic(n: int) -> DirichletPolynomial:
     """B_n^(k) as an explicit function of the upper index:
     sum_m (-1)^(n+m) m! S(n,m) (m+1)^(-k).
@@ -217,53 +229,37 @@ def B_symbolic(n: int) -> DirichletPolynomial:
     >>> str(B_symbolic(2))
     '-2^-s + 2*3^-s'
     """
-    require_int(n, "n", 0)
-    coeffs: dict[int, Fraction] = {}
-    for m in range(n + 1):
-        s = stirling2(n, m)
-        if s:
-            coeffs[m + 1] = Fraction((-1) ** (n + m) * math.factorial(m) * s)
-    return DirichletPolynomial.from_dict(coeffs)
+    return _symbolic(n, 0)
 
 
 def C_symbolic(n: int) -> DirichletPolynomial:
     """C_n^(k) as an explicit function of the upper index:
     sum_m (-1)^(n+m+1) (m-1)! S(n+1,m) m^(-k)."""
-    require_int(n, "n", 0)
-    coeffs: dict[int, Fraction] = {}
-    for m in range(1, n + 2):
-        s = stirling2(n + 1, m)
-        if s:
-            coeffs[m] = Fraction((-1) ** (n + m + 1) * math.factorial(m - 1) * s)
-    return DirichletPolynomial.from_dict(coeffs)
+    return _symbolic(n, 1)
+
+
+def _duality_rows(identity: str, number, shift: int, max_n: int, max_k: int) -> list[VerificationReport]:
+    # number(n, -k - shift) == number(k, -n - shift) for 0 <= n <= k.
+    log = RowLog()
+    for n in range(max_n + 1):
+        for k in range(n, max_k + 1):
+            log.exact(
+                identity,
+                {"n": n, "k": k},
+                number(n, -k - shift),
+                number(k, -n - shift),
+            )
+    return log.rows
 
 
 def duality_check_B(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:
     """B_n^(-k) = B_k^(-n), checked bit-exactly on the full grid."""
-    log = RowLog()
-    for n in range(max_n + 1):
-        for k in range(n, max_k + 1):
-            log.exact(
-                "pbn.B-duality",
-                {"n": n, "k": k},
-                poly_bernoulli_B(n, -k),
-                poly_bernoulli_B(k, -n),
-            )
-    return log.rows
+    return _duality_rows("pbn.B-duality", poly_bernoulli_B, 0, max_n, max_k)
 
 
 def duality_check_C(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:
     """C_n^(-k-1) = C_k^(-n-1), checked bit-exactly on the full grid."""
-    log = RowLog()
-    for n in range(max_n + 1):
-        for k in range(n, max_k + 1):
-            log.exact(
-                "pbn.C-duality",
-                {"n": n, "k": k},
-                poly_bernoulli_C(n, -k - 1),
-                poly_bernoulli_C(k, -n - 1),
-            )
-    return log.rows
+    return _duality_rows("pbn.C-duality", poly_bernoulli_C, 1, max_n, max_k)
 
 
 def stirling_oracle_check(max_n: int = 30, max_abs_k: int = 8) -> list[VerificationReport]:

@@ -207,12 +207,21 @@ def test_json_reports_to_file(tmp_path, capsys):
     assert all(r["status"] == "pass_numeric" for r in doc["reports"])
 
 
-def test_an_unwritable_json_path_is_an_error_not_a_failure(tmp_path, capsys):
-    # Exit code 1 means a failing identity; this is not one.
-    target = tmp_path / "missing" / "reports.json"
-    assert run_command(["level2", "verify", "oddzeta", "--json", str(target)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not target.exists()
+def test_an_unwritable_json_path_is_an_error_not_a_failure(tmp_path, monkeypatch, capsys):
+    # Exit code 1 means a failing identity; this is not one.  The path is
+    # checked while parsing, so no battery runs for a report that could
+    # never be written.
+    ran = []
+    monkeypatch.setattr(akzkit.verify, "verify_all", lambda **kw: ran.append(kw) or [])
+    monkeypatch.setattr(akzkit.level2, "odd_zeta_relation_check", lambda **kw: ran.append(kw) or [])
+    (tmp_path / "a-file").write_text("")
+    for command in (["verify-all"], ["level2", "verify", "oddzeta"]):
+        for where in ("missing/reports.json", "a-file/reports.json", "."):
+            argv = command + ["--json", str(tmp_path / where)]
+            assert run_command(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err, argv
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
 
 def test_the_smallest_tolerance_is_accepted(capsys):

@@ -195,19 +195,19 @@ def test_polylog_near_one_rejects_an_unknown_letter():
 def test_polylog_near_one_bounds_hold_at_64_bits():
     # The fixed-point width and the rounding count follow the precision,
     # so the bounds are checked again in a fresh process at the lowest one.
-    # There the series in u keeps j <= j_top = 80 at letter 1 and 129 at
-    # letter 2.  Past k = j_top + 2 its dropped terms would include zeta at
-    # a positive argument, which the tail bound does not cover, so the
-    # largest k must hold its bound and the next must raise.
+    # There the series in u would keep j <= 80 at letter 1 and 129 at
+    # letter 2 for every k, so past k = 82 and 131 its dropped terms would
+    # include zeta at a positive argument.  It keeps more terms as k grows
+    # instead, so the bound holds on both sides of those k and far past.
     script = (
         "import mpmath\n"
         "from akzkit import configure\n"
         "from akzkit.mzv_numeric import polylog_near_one\n"
         "configure(64)\n"
-        "for letter, top in ((1, 82), (2, 131)):\n"
+        "for letter in (1, 2):\n"
         f"    for u in {_NEAR_ONE_SERIES_U + _NEAR_ONE_EXP_U!r}:\n"
         "        u = mpmath.mpf(u)\n"
-        "        for k in (2, 3, 4, 5, top):\n"
+        "        for k in (2, 3, 4, 5, 82, 83, 131, 132, 200):\n"
         "            got = polylog_near_one(k, u, letter)\n"
         "            with mpmath.workprec(2 * 64 + 64):\n"
         "                q = mpmath.exp(-u)\n"
@@ -215,12 +215,6 @@ def test_polylog_near_one_bounds_hold_at_64_bits():
         "                if letter == 2:\n"
         "                    ref -= mpmath.polylog(k, q * q) / 2**k\n"
         "                assert abs(got.value - ref) <= got.error_bound, (k, u, letter)\n"
-        "    try:\n"
-        "        polylog_near_one(top + 1, mpmath.mpf('0.9'), letter)\n"
-        "    except ValueError as exc:\n"
-        "        assert f'at most {top}' in str(exc), exc\n"
-        "    else:\n"
-        "        raise AssertionError(f'k = {top + 1} was accepted at letter {letter}')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
     done = subprocess.run(
@@ -402,6 +396,46 @@ def test_precision_is_locked_after_first_use():
     configure(current_precision())  # re-stating the same precision is fine
     with pytest.raises(RuntimeError):
         configure(current_precision() + 64)
+
+
+@pytest.mark.parametrize("bits", [256.0, "256"])
+def test_precision_must_be_an_int_of_at_least_64_bits(bits):
+    with pytest.raises(ValueError, match="precision"):
+        configure(bits)
+
+
+def test_a_lowered_mpmath_precision_is_refused_not_trusted():
+    # Every bound assumes the configured precision.  Cached values are
+    # still served and a higher precision is fine, but a value computed
+    # at mpmath's default 53 bits must raise, not carry a 256-bit bound.
+    script = (
+        "import mpmath\n"
+        "from akzkit import mzv\n"
+        "two = mzv((2,))\n"
+        "mpmath.mp.prec = 53\n"
+        "assert mzv((2,)) is two\n"
+        "try:\n"
+        "    mzv((3,))\n"
+        "except RuntimeError as exc:\n"
+        "    assert 'precision' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('zeta(3) was computed at 53 bits')\n"
+        "with mpmath.workprec(512):\n"
+        "    four = mzv((4,))\n"
+        "mpmath.mp.prec = 256\n"
+        "for s, got in ((3, mzv((3,))), (4, four)):\n"
+        "    with mpmath.workprec(512):\n"
+        "        assert abs(got.value - mpmath.zeta(s)) <= got.error_bound, s\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_perturbation_switch_breaks_and_restores_one_value():

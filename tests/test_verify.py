@@ -1,8 +1,11 @@
-"""The battery's task list."""
+"""The battery's task list, and what the benchmark's set-up time covers."""
 
 import json
 import os
+import subprocess
+import sys
 
+import akzkit
 from akzkit.verify import default_tasks
 
 _BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
@@ -19,3 +22,23 @@ def test_benchmark_times_exactly_the_battery_tasks():
         if name.startswith("verify.task.") and name.endswith(".s")
     ]
     assert sorted(declared) == sorted(name for name, _ in default_tasks())
+
+
+def test_configuring_the_package_imports_no_numpy():
+    # The benchmark times set-up from process start to this point; numpy
+    # is imported only inside the float64 oracles that need it.
+    script = (
+        "import sys\n"
+        "import akzkit\n"
+        "akzkit.configure(256)\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
