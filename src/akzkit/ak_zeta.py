@@ -16,6 +16,7 @@ as the tuple of magnitudes (k_1, ..., k_r) standing for (-k_1, ..., -k_r).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from .index_algebra import (
 from .mzv_numeric import (
     EvalResult,
     PoleError,
+    _activate,
     _float64_rounding,
     _iterated_log_tail,
     mzsv,
@@ -219,26 +221,19 @@ def xi_explicit_family(index, m: int) -> EvalResult:
 # Low-accuracy series oracles built from harmonic iterates.
 
 
-# One list G_0, G_1, ... per cutoff, as long as any caller has asked.
-_g_table_cache: dict[int, list] = {}
-
-
-def _g_tables(max_order: int, cutoff: int) -> list:
-    """Arrays G_0, ..., G_max (or more) with
-    G_j[c] = sum_{a <= c} G_(j-1)[a] / a and G_0 = 1 (index 0 unused)."""
+@functools.cache
+def _g_table(order: int, cutoff: int):
+    """The array G_order over c = 0..cutoff, with G_0 = 1 and
+    G_j[c] = sum_{a <= c} G_(j-1)[a] / a (index 0 unused)."""
     import numpy as np
 
-    tables = _g_table_cache.get(cutoff)
-    if tables is None:
-        tables = _g_table_cache[cutoff] = [np.ones(cutoff + 1)]
-        tables[0][0] = 0.0
-    elif len(tables) > max_order:
-        return tables
+    if order == 0:
+        table = np.ones(cutoff + 1)
+        table[0] = 0.0
+        return table
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    while len(tables) <= max_order:
-        tables.append(np.cumsum(tables[-1] * inv))
-    return tables
+    return np.cumsum(_g_table(order - 1, cutoff) * inv)
 
 
 def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
@@ -254,10 +249,11 @@ def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
 
     require_int(k, "k", 1)
     require_int(n, "n", 1)
-    tables = _g_tables(max(k, n) - 1, cutoff)
+    require_int(cutoff, "cutoff", 1)
+    _activate()
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    value = float(np.sum(tables[k - 1] * tables[n - 1] * inv * inv))
+    value = float(np.sum(_g_table(k - 1, cutoff) * _g_table(n - 1, cutoff) * inv * inv))
     # G_j(c) <= (1 + ln c)^j with no factorial saving, so none is claimed.
     tail = _iterated_log_tail(k + n - 2, 2, cutoff)
     rounding = _float64_rounding(value, k + n, cutoff)
@@ -270,12 +266,13 @@ def xi_series_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
 
     require_int(k, "k", 1)
     require_int(n, "n", 1)
-    tables = _g_tables(n - 1, cutoff)
+    require_int(cutoff, "cutoff", 1)
+    _activate()
     c = np.arange(cutoff + 1, dtype=np.float64)
     c[0] = 1.0
     powers = c ** float(-(k + 1))
     powers[0] = 0.0
-    value = float(np.sum(tables[n - 1] * powers))
+    value = float(np.sum(_g_table(n - 1, cutoff) * powers))
     tail = _iterated_log_tail(n - 1, k + 1, cutoff)
     rounding = _float64_rounding(value, n + 1, cutoff)
     return EvalResult(mpmath.mpf(value), tail + rounding, "harmonic-series")
@@ -571,46 +568,31 @@ def nonpositive_specialization_check(
 
     for every negative index with weight + depth <= max_total."""
     log = RowLog()
+    forms = (
+        ("akzeta.eta-nonpositive-specialization", eta_closed_nonpositive, "B"),
+        ("akzeta.xitilde-nonpositive-specialization", xitilde_closed, "C"),
+    )
     for r in range(1, max_total + 1):
         for w in range(0, max_total - r + 1):
             for parts in compositions(w, r):
                 negated = tuple(-p for p in parts)
-                eta_form = eta_closed_nonpositive(parts)
-                bad = [
-                    m
-                    for m in range(max_m + 1)
-                    if eta_form.evaluate_exact(-m) != multi_poly_bernoulli(m, negated, "B")
-                ]
-                log.sweep(
-                    "akzeta.eta-nonpositive-specialization",
-                    {"index": negated, "max_m": max_m},
-                    "dirichlet-form",
-                    "generating-series",
-                    "m",
-                    bad,
-                )
-                if w == 0:
-                    log.skip(
-                        "akzeta.xitilde-nonpositive-specialization",
-                        {"index": negated, "max_m": max_m},
-                        NOT_COVERED,
-                        "companion form undefined at all-zero indices",
-                    )
-                    continue
-                tilde_form = xitilde_closed(parts)
-                bad = [
-                    m
-                    for m in range(max_m + 1)
-                    if tilde_form.evaluate_exact(-m) != multi_poly_bernoulli(m, negated, "C")
-                ]
-                log.sweep(
-                    "akzeta.xitilde-nonpositive-specialization",
-                    {"index": negated, "max_m": max_m},
-                    "dirichlet-form",
-                    "generating-series",
-                    "m",
-                    bad,
-                )
+                for identity, closed_form, kind in forms:
+                    parameters = {"index": negated, "max_m": max_m}
+                    if w == 0 and kind == "C":
+                        log.skip(
+                            identity,
+                            parameters,
+                            NOT_COVERED,
+                            "companion form undefined at all-zero indices",
+                        )
+                        continue
+                    form = closed_form(parts)
+                    bad = [
+                        m
+                        for m in range(max_m + 1)
+                        if form.evaluate_exact(-m) != multi_poly_bernoulli(m, negated, kind)
+                    ]
+                    log.sweep(identity, parameters, "dirichlet-form", "generating-series", "m", bad)
     return log.rows
 
 

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .index_algebra import compositions, require_signed_parts
+from .index_algebra import compositions, require_int, require_signed_parts
 from .reports import RowLog, VerificationReport
 
 __all__ = [
@@ -197,6 +197,8 @@ def exact_power(m: int, e: int) -> Fraction:
     >>> exact_power(2, -3)
     Fraction(1, 8)
     """
+    require_int(m, "m")
+    require_int(e, "e")
     return Fraction(m**e) if e >= 0 else Fraction(1, m ** (-e))
 
 
@@ -214,6 +216,7 @@ def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:
     """
     if not exponents:
         raise ValueError("need at least one exponent")
+    require_int(cap, "cap", 0)
     # Work in ints over one denominator D, the product over e > 0 of L^e
     # with L = lcm(1, ..., cap): m^(-e) is (L // m)^e / L^e for e > 0.
     lcm = math.lcm(*range(1, cap + 1))

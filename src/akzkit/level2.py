@@ -67,6 +67,7 @@ def ath_coeffs(k, cap: int) -> TruncatedSeries:
     Fraction(1, 3)
     """
     parts = require_index(k)
+    require_int(cap, "cap", 0)
     h = [_ZERO] * (cap + 1)
     for m in range(1, cap + 1, 2):
         h[m] = Fraction(1, m ** parts[0])

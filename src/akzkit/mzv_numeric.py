@@ -28,11 +28,13 @@ Precision is global and meant to be configured once, before evaluation
 begins; after the first evaluation it is locked, so no cache key needs to
 name it.  Every bound assumes that its value was computed at that
 precision or above, so computing one while mpmath runs below it raises
-RuntimeError; cached values are still served.  Three caches keep what is
-asked for again: the value of each word integral at its exact point, each
-path-split result, and, per (k, letter), the u-independent coefficients
-of polylog_near_one.  The last is keyed on (k, letter) alone for the
-same reason: every entry is built after the lock.
+RuntimeError, before the first evaluation as after it; cached values are
+still served.  exact_result and sum_results pin the precision as every
+evaluator does.  Three caches keep what is asked for again: the value of
+each word integral at its exact point, each path-split result, and, per
+(k, letter), the u-independent coefficients of polylog_near_one.  The
+last is keyed on (k, letter) alone for the same reason: every entry is
+built after the lock.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ def _mpf(x: Any):
 def _smear(value) -> Any:
     # Generous cover for accumulated rounding: dozens of guard bits below
     # working precision, far under every tolerance used by the checks.
-    # Every computed bound passes through here.
-    if _state["locked"] and mpmath.mp.prec < _state["prec"]:
+    # Every computed bound passes through here, so a value computed below
+    # the configured precision, locked or not yet, raises instead.
+    if mpmath.mp.prec < _state["prec"]:
         raise RuntimeError(
             f"mpmath's precision {mpmath.mp.prec} is below the configured precision {_state['prec']}"
         )
@@ -168,11 +171,13 @@ class EvalResult:
 
 
 def exact_result(x: Any, method: str = "exact") -> EvalResult:
+    _activate()
     v = _mpf(x)
     return EvalResult(v, _smear(v), method)
 
 
 def sum_results(items: list[EvalResult], method: str = "composite") -> EvalResult:
+    _activate()
     value = mpmath.mpf(0)
     bound = mpmath.mpf(0)
     for item in items:
@@ -448,7 +453,7 @@ def _nested_sum(k, cutoff: int, parity: bool, method: str) -> EvalResult:
 
     _activate()
     parts = _require_admissible(k)
-    cutoff = int(cutoff)
+    require_int(cutoff, "cutoff", 1)
     m = np.arange(cutoff + 1, dtype=np.float64)
     m[0] = 1.0  # placeholder; slot 0 is zeroed after each power
     h = np.ones(cutoff + 1, dtype=np.float64)

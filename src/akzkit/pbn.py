@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_series import _OneMinusExpSums, exact_power, mpl_coeffs, stirling2
+from .exact_series import _OneMinusExpSums, mpl_coeffs, stirling2
 from .index_algebra import indices_up_to_weight, require_int, require_integer_index
 from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
@@ -66,7 +66,8 @@ class DirichletPolynomial:
         return cls(tuple(cleaned))
 
     def evaluate_exact(self, k: int) -> Fraction:
-        return sum((c * exact_power(m, -k) for m, c in self.terms), _ZERO)
+        require_int(k, "k")
+        return sum((c * m**-k if k <= 0 else c / m**k for m, c in self.terms), _ZERO)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -317,31 +318,9 @@ def multi_oracle_check(max_depth: int = 3, max_n: int = 15) -> list[Verification
     return log.rows
 
 
-class _Bivariate:
-    """Dense truncated series in two variables with Fraction entries."""
-
-    def __init__(self, rows: list[list[Fraction]]):
-        self.rows = rows
-        self.nx = len(rows) - 1
-        self.ny = len(rows[0]) - 1
-
-    @classmethod
-    def build(cls, nx: int, ny: int, fn) -> "_Bivariate":
-        return cls([[Fraction(fn(i, j)) for j in range(ny + 1)] for i in range(nx + 1)])
-
-    def divide(self, other: "_Bivariate") -> "_Bivariate":
-        if other.rows[0][0] == 0:
-            raise ValueError("division requires a unit constant term")
-        q = [[_ZERO] * (self.ny + 1) for _ in range(self.nx + 1)]
-        for i in range(self.nx + 1):
-            for j in range(self.ny + 1):
-                acc = self.rows[i][j]
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        if (a, b) != (i, j) and q[a][b]:
-                            acc -= q[a][b] * other.rows[i - a][j - b]
-                q[i][j] = acc / other.rows[0][0]
-        return _Bivariate(q)
+def _exp_power_coefficient(j: int, n: int) -> int:
+    # n! [x^n] of e^x (e^x - 1)^j, by the binomial theorem.
+    return sum((-1) ** (j - i) * math.comb(j, i) * (i + 1) ** n for i in range(j + 1))
 
 
 def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[VerificationReport]:
@@ -350,29 +329,32 @@ def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[Verific
         sum B_n^(-k)   x^n y^k / (n! k!) = e^(x+y) / (e^x + e^y - e^(x+y))
         sum C_n^(-k-1) x^n y^k / (n! k!) = e^(x+y) / (e^x + e^y - e^(x+y))^2
 
-    Both right-hand sides are manifestly symmetric in x and y.  Compared
-    coefficientwise, one report per row n.
+    With u = (e^x - 1)(e^y - 1) the denominator is 1 - u, and
+    1/(1 - u)^p = sum_j C(j+p-1, p-1) u^j, so n! k! [x^n y^k] of the
+    right-hand side with p = 1 (B) or 2 (C) is
+
+        sum_{j <= min(n, k)} C(j+p-1, p-1) A_j(n) A_j(k),
+
+    A_j(n) = n! [x^n] e^x (e^x - 1)^j = sum_i (-1)^(j-i) C(j, i) (i+1)^n.
+    Both sides are manifestly symmetric in x and y, and this one is built
+    in ints with no series code.  Compared coefficientwise, one report per
+    row n.
     """
     log = RowLog()
-    exy = _Bivariate.build(max_n, max_k, lambda i, j: Fraction(1, math.factorial(i) * math.factorial(j)))
-    denom = _Bivariate.build(
-        max_n,
-        max_k,
-        lambda i, j: Fraction((1 if j == 0 else 0), math.factorial(i))
-        + Fraction((1 if i == 0 else 0), math.factorial(j))
-        - Fraction(1, math.factorial(i) * math.factorial(j)),
-    )
-    b_side = exy.divide(denom)
-    c_side = b_side.divide(denom)
-    for kind, table, value in (
-        ("B", b_side, lambda n, k: poly_bernoulli_B(n, -k)),
-        ("C", c_side, lambda n, k: poly_bernoulli_C(n, -k - 1)),
+    a = [
+        [_exp_power_coefficient(j, n) for n in range(max(max_n, max_k) + 1)]
+        for j in range(min(max_n, max_k) + 1)
+    ]
+    for kind, p, value in (
+        ("B", 1, lambda n, k: poly_bernoulli_B(n, -k)),
+        ("C", 2, lambda n, k: poly_bernoulli_C(n, -k - 1)),
     ):
         for n in range(max_n + 1):
             bad = [
                 k
                 for k in range(max_k + 1)
-                if table.rows[n][k] * math.factorial(n) * math.factorial(k) != value(n, k)
+                if sum(math.comb(j + p - 1, p - 1) * a[j][n] * a[j][k] for j in range(min(n, k) + 1))
+                != value(n, k)
             ]
             log.sweep(
                 "pbn.bivariate-generating-function",

@@ -2,11 +2,15 @@
 identity batteries at reduced ranges (full ranges run in the acceptance
 suite)."""
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy
 import pytest
 
+import akzkit
 from akzkit import ak_zeta
 from akzkit.ak_zeta import (
     display_identities_check,
@@ -192,17 +196,51 @@ def test_depth1_enumeration_charges_each_side_to_its_own_row(monkeypatch):
     assert eta_row.elapsed_seconds >= len(calls) * _SLEEP
 
 
-def test_harmonic_tables_serve_every_order_from_one_list(monkeypatch):
-    def no_build(*args, **kwargs):
+def test_harmonic_tables_are_built_once_per_order_and_cutoff(monkeypatch):
+    # A cutoff no other test uses, so every table below is built here.
+    cutoff = 1234
+    cumsum = numpy.cumsum
+    built = []
+
+    def counted(values):
+        built.append(len(values))
+        return cumsum(values)
+
+    def no_build(values):
         raise AssertionError("a harmonic table was built again")
 
-    monkeypatch.setattr(ak_zeta, "_g_table_cache", {})
-    high = ak_zeta._g_tables(3, 1000)
+    monkeypatch.setattr(numpy, "cumsum", counted)
+    high = ak_zeta._g_table(3, cutoff)
+    assert built == [cutoff + 1] * 3
+    # The lower orders were built on the way up and are served as they are.
     with monkeypatch.context() as patch:
         patch.setattr(numpy, "cumsum", no_build)
-        low = ak_zeta._g_tables(1, 1000)
-    assert all(a is b for a, b in zip(low, high))
-    # Growing extends the list already handed out.
-    higher = ak_zeta._g_tables(4, 1000)
-    assert higher is high
-    assert len(higher) == 5
+        low = ak_zeta._g_table(1, cutoff)
+        assert ak_zeta._g_table(3, cutoff) is high
+    assert ak_zeta._g_table(1, cutoff) is low
+    # G_1 is the harmonic numbers.
+    assert abs(low[cutoff] - sum(1 / a for a in range(1, cutoff + 1))) < 1e-12
+    ak_zeta._g_table(4, cutoff)
+    assert built == [cutoff + 1] * 4
+
+
+def test_series_oracles_pin_the_configured_precision_in_a_fresh_process():
+    # As the first evaluation, each oracle must start the configured
+    # precision, so arithmetic on its result does not meet 53 bits.
+    script = (
+        "import mpmath\n"
+        "from akzkit import current_precision\n"
+        "from akzkit.ak_zeta import eta_symmetric_oracle, xi_series_oracle\n"
+        "eta = eta_symmetric_oracle(1, 1, 1000)\n"
+        "assert mpmath.mp.prec == current_precision(), mpmath.mp.prec\n"
+        "eta.scale(2) + xi_series_oracle(1, 1, 1000)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from akzkit.ak_zeta import eta_symmetric_oracle, xi_series_oracle
+from akzkit.exact_series import exact_power, mpl_coeffs
 from akzkit.index_algebra import (
     _unword,
     b_coefficient,
@@ -21,6 +23,9 @@ from akzkit.index_algebra import (
     weight,
     word,
 )
+from akzkit.level2 import ath_coeffs
+from akzkit.mzv_numeric import mzv_direct, t0_direct
+from akzkit.pbn import B_symbolic
 
 indices = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
 # Refinement sets grow like 2^weight, so the tests that enumerate them
@@ -164,3 +169,35 @@ def test_require_int_names_the_argument(bad):
     with pytest.raises(ValueError, match="^depth must be an integer >= 1"):
         require_int(bad, "depth", 1)
     assert require_int(-4, "depth") == -4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mzv_direct((2,), 0),
+        lambda: mzv_direct((2,), 10.7),
+        lambda: mzv_direct((2,), "100"),
+        lambda: t0_direct((2,), 0),
+        lambda: eta_symmetric_oracle(2, 2, 0),
+        lambda: xi_series_oracle(2, 2, 0),
+        lambda: mpl_coeffs((2,), -1),
+        lambda: ath_coeffs((2,), -1),
+        lambda: exact_power(2, 1.5),
+        lambda: B_symbolic(2).evaluate_exact(1.5),
+    ],
+    ids=[
+        "mzv_direct-zero-cutoff",
+        "mzv_direct-float-cutoff",
+        "mzv_direct-str-cutoff",
+        "t0_direct-zero-cutoff",
+        "eta_symmetric_oracle-zero-cutoff",
+        "xi_series_oracle-zero-cutoff",
+        "mpl_coeffs-negative-cap",
+        "ath_coeffs-negative-cap",
+        "exact_power-float-exponent",
+        "evaluate_exact-float-argument",
+    ],
+)
+def test_public_entries_refuse_what_require_int_refuses(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()

@@ -2,9 +2,9 @@
 imported name that it never reads.  Names listed in `__all__` and
 `from __future__` imports are exempt.
 
-Every private helper is used: each module-level function or class of
-src/akzkit whose name starts with an underscore is read somewhere in
-src/akzkit outside its own definition.
+Every private helper is used: each module-level function, class or
+assigned name of src/akzkit that starts with an underscore is read
+somewhere in src/akzkit outside its own definition.
 
 Every export is bound: each name in the `__all__` of a module of
 src/akzkit, the package's own included, is an attribute of that module
@@ -51,19 +51,31 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _defined_name(stmt: ast.stmt) -> str | None:
+    # The name a module-level def, class or single-name assignment binds.
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return stmt.name
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
 def _dead_private_helpers(sources: dict[str, str]) -> list[str]:
-    """`module.name` for each private module-level def or class that no
-    module reads: not by name in its own module outside its own body,
-    not as `module.name`, and not through `from .module import name`."""
+    """`module.name` for each private module-level def, class or assigned
+    name that no module reads: not by name in its own module outside its
+    own statement, not as `module.name`, and not through
+    `from .module import name`."""
     defined = set()
     used = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                if owner.startswith("_") and not owner.startswith("__"):
-                    defined.add((module, owner))
+            owner = _defined_name(stmt)
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined.add((module, owner))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and node.id != owner:
                     used.add((module, node.id))
@@ -79,8 +91,9 @@ def test_the_scan_finds_a_dead_private_helper():
     sources = {
         "a": "def _dead():\n    return _dead()\ndef _kept():\n    pass\nclass _Imported:\n    pass\n",
         "b": "from .a import _Imported\nfrom . import a\na._kept()\n",
+        "c": "_cache: dict = {}\n_LIMIT = 3\n__all__ = []\ndef f():\n    return _LIMIT\n",
     }
-    assert _dead_private_helpers(sources) == ["a._dead"]
+    assert _dead_private_helpers(sources) == ["a._dead", "c._cache"]
 
 
 def test_no_dead_private_helpers():

@@ -438,6 +438,39 @@ def test_a_lowered_mpmath_precision_is_refused_not_trusted():
     assert done.returncode == 0, done.stderr
 
 
+def test_exact_results_and_their_sums_hold_their_bounds_in_a_fresh_process():
+    # Before the first evaluation mpmath still runs at its default 53
+    # bits.  Arithmetic on values made there must raise; exact_result and
+    # sum_results must compute at the configured precision.
+    script = (
+        "from fractions import Fraction\n"
+        "import mpmath\n"
+        "from akzkit.mzv_numeric import EvalResult, exact_result, sum_results\n"
+        "loose = EvalResult(mpmath.mpf(1) / 3, mpmath.mpf(0), 'made at 53 bits')\n"
+        "try:\n"
+        "    loose + loose\n"
+        "except RuntimeError as exc:\n"
+        "    assert 'precision' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('a sum was computed at 53 bits')\n"
+        "third = exact_result(Fraction(1, 3))\n"
+        "with mpmath.workprec(300):\n"
+        "    exact = mpmath.mpf(1) / 3\n"
+        "    assert abs(third.value - exact) <= third.error_bound\n"
+        "    for total in (third + third, sum_results([third, third])):\n"
+        "        assert abs(total.value - 2 * exact) <= total.error_bound\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_perturbation_switch_breaks_and_restores_one_value():
     clean = mzv((1, 2)).value
     set_perturbation(True)

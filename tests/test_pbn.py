@@ -146,7 +146,7 @@ def test_brute_force_uses_no_series_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute-force oracle called series code")
 
-    for name in ("exact_power", "mpl_coeffs", "_OneMinusExpSums", "_families"):
+    for name in ("mpl_coeffs", "_OneMinusExpSums", "_families"):
         monkeypatch.setattr(pbn, name, forbidden)
     assert [multi_poly_bernoulli_brute(*case) for case in cases] == before
 
@@ -193,19 +193,37 @@ def test_bivariate_generating_function_rows():
     assert all(r.passed for r in reports)
 
 
-def test_bivariate_rows_carry_the_series_divisions(monkeypatch):
-    # Both divisions run before the first row; the rows must still add up
-    # to the time the check spent on them.
-    divide = pbn._Bivariate.divide
+def test_bivariate_rows_carry_the_expansion_terms(monkeypatch):
+    # Every expansion term is built before the first row; the rows must
+    # still add up to the time the check spent on them.
+    term = pbn._exp_power_coefficient
+    calls = []
 
-    def slow_divide(self, other):
-        time.sleep(_SLEEP)
-        return divide(self, other)
+    def slow_term(j, n):
+        calls.append((j, n))
+        time.sleep(_SLEEP / 10)
+        return term(j, n)
 
-    monkeypatch.setattr(pbn._Bivariate, "divide", slow_divide)
+    monkeypatch.setattr(pbn, "_exp_power_coefficient", slow_term)
+    started = time.perf_counter()
     reports = bivariate_generating_check(max_n=2, max_k=2)
+    spent = time.perf_counter() - started
     assert all(r.passed for r in reports)
-    assert sum(r.elapsed_seconds for r in reports) >= 2 * _SLEEP
+    assert len(calls) == 9
+    # Each row's time is rounded to the microsecond.
+    assert len(calls) * _SLEEP / 10 <= sum(r.elapsed_seconds for r in reports) <= spent + 1e-6 * len(reports)
+
+
+def test_a_one_unit_fault_in_the_bivariate_side_fails_a_row(monkeypatch):
+    term = pbn._exp_power_coefficient
+
+    def faulty_term(j, n):
+        return term(j, n) + 1 if (j, n) == (1, 3) else term(j, n)
+
+    monkeypatch.setattr(pbn, "_exp_power_coefficient", faulty_term)
+    failed = [r for r in bivariate_generating_check(max_n=4, max_k=4) if r.failed]
+    assert failed
+    assert {r.parameters["kind"] for r in failed} == {"B", "C"}
 
 
 def test_finite_sum_congruence_battery():
