@@ -231,9 +231,10 @@ def _g_table(order: int, cutoff: int):
         table = np.ones(cutoff + 1)
         table[0] = 0.0
         return table
+    prev = _g_table(order - 1, cutoff)
     inv = np.zeros(cutoff + 1)
     inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    return np.cumsum(_g_table(order - 1, cutoff) * inv)
+    return np.cumsum(prev * inv)
 
 
 def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_series import _OneMinusExpSums, mpl_coeffs, stirling2
+from .exact_series import _OneMinusExpSums, exact_power, mpl_coeffs, stirling2
 from .index_algebra import indices_up_to_weight, require_int, require_integer_index
 from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
@@ -66,8 +66,7 @@ class DirichletPolynomial:
         return cls(tuple(cleaned))
 
     def evaluate_exact(self, k: int) -> Fraction:
-        require_int(k, "k")
-        return sum((c * m**-k if k <= 0 else c / m**k for m, c in self.terms), _ZERO)
+        return sum((c * exact_power(m, -k) for m, c in self.terms), _ZERO)
 
     def __str__(self) -> str:
         if not self.terms:

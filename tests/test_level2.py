@@ -189,3 +189,20 @@ def test_quadrature_first_in_a_fresh_process_keeps_the_configured_precision():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("check", ["psi_formula_crosscheck", "t_binomial_identity_check"])
+def test_preloading_sweep_runs_first_in_a_fresh_process(check):
+    # The T-value preload scales a stand-in value before any evaluator has
+    # pinned the configured precision; it must pin it itself.
+    script = (
+        "from akzkit import level2\n"
+        f"reports = level2.{check}()\n"
+        "assert reports and not any(r.failed for r in reports)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

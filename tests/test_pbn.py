@@ -146,7 +146,7 @@ def test_brute_force_uses_no_series_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute-force oracle called series code")
 
-    for name in ("mpl_coeffs", "_OneMinusExpSums", "_families"):
+    for name in ("exact_power", "mpl_coeffs", "_OneMinusExpSums", "_families"):
         monkeypatch.setattr(pbn, name, forbidden)
     assert [multi_poly_bernoulli_brute(*case) for case in cases] == before
 
