@@ -16,7 +16,6 @@ as the tuple of magnitudes (k_1, ..., k_r) standing for (-k_1, ..., -k_r).
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -221,20 +220,69 @@ def xi_explicit_family(index, m: int) -> EvalResult:
 # Low-accuracy series oracles built from harmonic iterates.
 
 
-@functools.cache
-def _g_table(order: int, cutoff: int):
-    """The array G_order over c = 0..cutoff, with G_0 = 1 and
-    G_j[c] = sum_{a <= c} G_(j-1)[a] / a (index 0 unused)."""
+# Terms per block of the harmonic-iterate pass: each array it holds is
+# 512 KB, whatever the cutoff.
+_BLOCK = 1 << 16
+
+
+def _harmonic_sums(terms, cutoff: int) -> list[float]:
+    """sum_{c=1}^{cutoff} G_a(c) G_b(c) / c^p in float64 for each (a, b, p)
+    in `terms`, where G_0 = 1 and G_j(c) = sum_{d <= c} G_(j-1)(d) / d.
+
+    One pass over c for all the terms, in blocks of _BLOCK: a block builds
+    G_1..G_order by cumulative sums, each lifted by the value its order
+    reached at the end of the previous block, and adds its share of every
+    term.  No array outlives its block."""
     import numpy as np
 
-    if order == 0:
-        table = np.ones(cutoff + 1)
-        table[0] = 0.0
-        return table
-    prev = _g_table(order - 1, cutoff)
-    inv = np.zeros(cutoff + 1)
-    inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    return np.cumsum(prev * inv)
+    if not terms:
+        return []
+    order = max(max(a, b) for a, b, _ in terms)
+    powers = {p for _, _, p in terms}
+    carry = [0.0] * (order + 1)
+    totals = [0.0] * len(terms)
+    for start in range(1, cutoff + 1, _BLOCK):
+        c = np.arange(start, min(start + _BLOCK, cutoff + 1), dtype=np.float64)
+        inv = 1.0 / c
+        g = [np.ones_like(c)]
+        for j in range(1, order + 1):
+            gj = np.cumsum(g[-1] * inv)
+            gj += carry[j]
+            carry[j] = float(gj[-1])
+            g.append(gj)
+        scale = {p: c ** float(-p) for p in powers}
+        for i, (a, b, p) in enumerate(terms):
+            totals[i] += float(np.sum(g[a] * g[b] * scale[p]))
+    return totals
+
+
+def _harmonic_series(terms, cutoff: int, method: str) -> list[EvalResult]:
+    """The sums of `_harmonic_sums` with their bounds, in one pass."""
+    require_int(cutoff, "cutoff", 1)
+    _activate()
+    results = []
+    for (a, b, p), value in zip(terms, _harmonic_sums(terms, cutoff)):
+        # G_j(c) <= (1 + ln c)^j with no factorial saving, so none is claimed.
+        tail = _iterated_log_tail(a + b, p, cutoff)
+        rounding = _float64_rounding(value, a + b + 2, cutoff)
+        results.append(EvalResult(mpmath.mpf(value), tail + rounding, method))
+    return results
+
+
+def _eta_series(pairs, cutoff: int) -> list[EvalResult]:
+    """eta_symmetric_oracle at every (k, n) of `pairs`, in one pass."""
+    for k, n in pairs:
+        require_int(k, "k", 1)
+        require_int(n, "n", 1)
+    return _harmonic_series([(k - 1, n - 1, 2) for k, n in pairs], cutoff, "symmetric-series")
+
+
+def _xi_series(pairs, cutoff: int) -> list[EvalResult]:
+    """xi_series_oracle at every (k, n) of `pairs`, in one pass."""
+    for k, n in pairs:
+        require_int(k, "k", 1)
+        require_int(n, "n", 1)
+    return _harmonic_series([(n - 1, 0, k + 1) for k, n in pairs], cutoff, "harmonic-series")
 
 
 def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
@@ -246,37 +294,12 @@ def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     honest and often dominates any tolerance, which the combined pass
     criterion accounts for.
     """
-    import numpy as np
-
-    require_int(k, "k", 1)
-    require_int(n, "n", 1)
-    require_int(cutoff, "cutoff", 1)
-    _activate()
-    inv = np.zeros(cutoff + 1)
-    inv[1:] = 1.0 / np.arange(1, cutoff + 1)
-    value = float(np.sum(_g_table(k - 1, cutoff) * _g_table(n - 1, cutoff) * inv * inv))
-    # G_j(c) <= (1 + ln c)^j with no factorial saving, so none is claimed.
-    tail = _iterated_log_tail(k + n - 2, 2, cutoff)
-    rounding = _float64_rounding(value, k + n, cutoff)
-    return EvalResult(mpmath.mpf(value), tail + rounding, "symmetric-series")
+    return _eta_series([(k, n)], cutoff)[0]
 
 
 def xi_series_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     """Depth-one xi at (k, n) as sum_c G_(n-1)(c) / c^(k+1)."""
-    import numpy as np
-
-    require_int(k, "k", 1)
-    require_int(n, "n", 1)
-    require_int(cutoff, "cutoff", 1)
-    _activate()
-    c = np.arange(cutoff + 1, dtype=np.float64)
-    c[0] = 1.0
-    powers = c ** float(-(k + 1))
-    powers[0] = 0.0
-    value = float(np.sum(_g_table(n - 1, cutoff) * powers))
-    tail = _iterated_log_tail(n - 1, k + 1, cutoff)
-    rounding = _float64_rounding(value, n + 1, cutoff)
-    return EvalResult(mpmath.mpf(value), tail + rounding, "harmonic-series")
+    return _xi_series([(k, n)], cutoff)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +425,8 @@ def eta_threeway_check(
     The first two agree to full precision; the series oracle joins at its
     own honest accuracy."""
     log = RowLog()
-    for k, n in pairs:
+    oracles = None
+    for i, (k, n) in enumerate(pairs):
         a = eta_at_positive((k,), n)
         b = eta_at_positive((n,), k)
         log.numeric(
@@ -412,7 +436,10 @@ def eta_threeway_check(
             b,
             1e-8,
         )
-        oracle = eta_symmetric_oracle(k, n, cutoff)
+        # One pass for every pair, charged to the first series row.
+        if oracles is None:
+            oracles = _eta_series(pairs, cutoff)
+        oracle = oracles[i]
         log.numeric(
             "akzeta.eta-value-threeway",
             {"k": k, "n": n, "legs": "star-combination-vs-series"},
@@ -481,17 +508,16 @@ def xi_series_representation_check(
 ) -> list[VerificationReport]:
     """Depth-one xi against the harmonic-iterate series oracle."""
     log = RowLog()
-    for k in range(1, max_k + 1):
-        for n in range(1, max_n + 1):
-            oracle = xi_series_oracle(k, n, cutoff)
-            log.numeric(
-                "akzeta.xi-series-representation",
-                {"k": k, "n": n},
-                xi_at_positive((k,), n),
-                oracle,
-                tolerance,
-                detail=f"series tail bound {mpmath.nstr(oracle.error_bound, 3)}",
-            )
+    pairs = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
+    for (k, n), oracle in zip(pairs, _xi_series(pairs, cutoff)):
+        log.numeric(
+            "akzeta.xi-series-representation",
+            {"k": k, "n": n},
+            xi_at_positive((k,), n),
+            oracle,
+            tolerance,
+            detail=f"series tail bound {mpmath.nstr(oracle.error_bound, 3)}",
+        )
     return log.rows
 
 

@@ -433,7 +433,29 @@ def _iterated_log_tail(q: int, power: int, cutoff: int):
 def _float64_rounding(value: float, stages: int, cutoff: int) -> float:
     """Bound for the rounding in a float64 sum built by `stages` cumulative
     sums over `cutoff` terms: the relative error of one stage grows
-    linearly in its length, taken with a margin of eight."""
+    linearly in its length, taken with a margin of eight.
+
+    Every term is positive, so a sum in which each term passes through at
+    most d additions is off by at most d u / (1 - d u) relative, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2), and
+    2.3e-16 per term is 2u.  A stage's terms carry one rounding of their
+    own (a reciprocal or power and a product), and stages compound
+    additively to first order.  The count covers the blocked pass of
+    `ak_zeta._harmonic_sums` as it covers one long cumulative sum:
+
+    - G_j(c) is a left-to-right sum within its block plus one carry add
+      per element, so a term of an earlier block reaches it through the
+      rest of its own block and one carry add per later block: at most c
+      additions, c <= cutoff.
+    - Each block's share of a sum is summed pairwise, in at most its
+      length of additions.
+    - The block totals are summed in sequence, one addition per block, so
+      a term passes through at most min(cutoff, 2^16) + ceil(cutoff / 2^16)
+      <= cutoff + 1 additions.
+
+    Each stage thus stays within about (cutoff + 3) u, under the
+    16 u * cutoff it is counted at.
+    """
     return abs(value) * stages * cutoff * 2.3e-16 * 8
 
 

@@ -2,12 +2,12 @@
 identity batteries at reduced ranges (full ranges run in the acceptance
 suite)."""
 
+import math
 import os
 import subprocess
 import sys
 import time
 
-import numpy
 import pytest
 
 import akzkit
@@ -33,7 +33,7 @@ from akzkit.ak_zeta import (
     xi_series_representation_check,
     xitilde_closed,
 )
-from akzkit.mzv_numeric import PoleError, mzv, zeta
+from akzkit.mzv_numeric import PoleError, _float64_rounding, mzv, zeta
 from akzkit.pbn import poly_bernoulli_B, poly_bernoulli_C
 
 
@@ -164,17 +164,22 @@ _SLEEP = 0.5
 
 
 def test_threeway_charges_the_series_oracle_to_the_series_row(monkeypatch):
-    oracle = ak_zeta.eta_symmetric_oracle
+    # One pass serves every pair; it runs when the first series row is due.
+    harmonic_sums = ak_zeta._harmonic_sums
+    passes = []
 
-    def slow_oracle(k, n, cutoff):
+    def slow_pass(terms, cutoff):
+        passes.append(list(terms))
         time.sleep(_SLEEP)
-        return oracle(k, n, cutoff)
+        return harmonic_sums(terms, cutoff)
 
-    monkeypatch.setattr(ak_zeta, "eta_symmetric_oracle", slow_oracle)
-    swapped, series = eta_threeway_check(pairs=((1, 1),), cutoff=10_000)
+    monkeypatch.setattr(ak_zeta, "_harmonic_sums", slow_pass)
+    swapped, series, swapped_2, series_2 = eta_threeway_check(pairs=((1, 1), (1, 2)), cutoff=10_000)
     assert swapped.parameters["legs"] == "star-combination-vs-swapped"
     assert series.parameters["legs"] == "star-combination-vs-series"
     assert swapped.elapsed_seconds < _SLEEP <= series.elapsed_seconds
+    assert passes == [[(0, 0, 2), (0, 1, 2)]]
+    assert max(swapped_2.elapsed_seconds, series_2.elapsed_seconds) < _SLEEP
 
 
 def test_depth1_enumeration_charges_each_side_to_its_own_row(monkeypatch):
@@ -196,32 +201,78 @@ def test_depth1_enumeration_charges_each_side_to_its_own_row(monkeypatch):
     assert eta_row.elapsed_seconds >= len(calls) * _SLEEP
 
 
-def test_harmonic_tables_are_built_once_per_order_and_cutoff(monkeypatch):
-    # A cutoff no other test uses, so every table below is built here.
-    cutoff = 1234
-    cumsum = numpy.cumsum
-    built = []
+def _plain_harmonic_terms(terms, cutoff):
+    """Each c's terms G_a(c) G_b(c) / c^p of the harmonic-iterate sums,
+    one c at a time, in Python floats."""
+    g = [1.0, 0.0, 0.0, 0.0]
+    for c in range(1, cutoff + 1):
+        for j in range(1, len(g)):
+            g[j] += g[j - 1] / c
+        yield [g[a] * g[b] / c**p for a, b, p in terms]
 
-    def counted(values):
-        built.append(len(values))
-        return cumsum(values)
 
-    def no_build(values):
-        raise AssertionError("a harmonic table was built again")
+def test_series_oracles_match_a_plain_loop_across_block_boundaries():
+    cutoff = 70_000
+    edge = ak_zeta._BLOCK + 1  # the first term of the second block
+    assert edge < cutoff
+    eta_pairs = ((1, 1), (2, 3), (4, 4))
+    xi_pairs = ((1, 1), (2, 3), (3, 2))
+    terms = [(k - 1, n - 1, 2) for k, n in eta_pairs] + [(n - 1, 0, k + 1) for k, n in xi_pairs]
+    totals = [0.0] * len(terms)
+    for c, row in enumerate(_plain_harmonic_terms(terms, cutoff), start=1):
+        totals = [t + x for t, x in zip(totals, row)]
+        if c == edge:
+            edge_row = row
+    oracles = [ak_zeta.eta_symmetric_oracle(k, n, cutoff) for k, n in eta_pairs]
+    oracles += [ak_zeta.xi_series_oracle(k, n, cutoff) for k, n in xi_pairs]
+    for (a, b, p), plain, oracle in zip(terms, totals, oracles):
+        assert abs(float(oracle.value) - plain) <= _float64_rounding(plain, a + b + 2, cutoff)
+    # Sharper at the boundary: the term the second block starts with is
+    # counted once, with the carried G values, up to the rounding of the
+    # totals it is read from.
+    below = ak_zeta._harmonic_sums(terms, edge - 1)
+    at = ak_zeta._harmonic_sums(terms, edge)
+    for lo, hi, term in zip(below, at, edge_row):
+        assert abs((hi - lo) - term) <= 1e-4 * term + 4 * math.ulp(hi)
 
-    monkeypatch.setattr(numpy, "cumsum", counted)
-    high = ak_zeta._g_table(3, cutoff)
-    assert built == [cutoff + 1] * 3
-    # The lower orders were built on the way up and are served as they are.
-    with monkeypatch.context() as patch:
-        patch.setattr(numpy, "cumsum", no_build)
-        low = ak_zeta._g_table(1, cutoff)
-        assert ak_zeta._g_table(3, cutoff) is high
-    assert ak_zeta._g_table(1, cutoff) is low
-    # G_1 is the harmonic numbers.
-    assert abs(low[cutoff] - sum(1 / a for a in range(1, cutoff + 1))) < 1e-12
-    ak_zeta._g_table(4, cutoff)
-    assert built == [cutoff + 1] * 4
+
+def _run_fresh(script):
+    """Run `script` in a fresh interpreter on this checkout's akzkit and
+    require it to exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_series_oracles_keep_no_table_of_the_cutoff_length():
+    # Every threeway pair at the default cutoff, both oracles: one 1e6-long
+    # float64 array is 8 MB, so growth under 16 MB means none is kept.
+    script = (
+        "import resource\n"
+        "import numpy\n"
+        "from akzkit.ak_zeta import _THREEWAY_PAIRS, eta_symmetric_oracle, xi_series_oracle\n"
+        "eta_symmetric_oracle(1, 1, 10)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "for k, n in _THREEWAY_PAIRS:\n"
+        "    eta_symmetric_oracle(k, n)\n"
+        "    xi_series_oracle(k, n)\n"
+        "grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "assert grown_kb < 16 * 1024, grown_kb\n"
+    )
+    _run_fresh(script)
+
+
+def test_series_oracle_rows_pass_on_their_bounds_alone():
+    reports = eta_threeway_check(tolerance=0.0) + xi_series_representation_check(tolerance=0.0)
+    assert len(reports) == 27
+    for r in reports:
+        assert not r.failed, r.one_line()
 
 
 def test_series_oracles_pin_the_configured_precision_in_a_fresh_process():
@@ -235,12 +286,4 @@ def test_series_oracles_pin_the_configured_precision_in_a_fresh_process():
         "assert mpmath.mp.prec == current_precision(), mpmath.mp.prec\n"
         "eta.scale(2) + xi_series_oracle(1, 1, 1000)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    _run_fresh(script)
