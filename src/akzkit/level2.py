@@ -13,6 +13,18 @@ height-one family two independent ways, checks the binomial-sum identity
 mixing the (m, r) parameters, the height-one duality, the depth-one
 product expression for odd-argument zeta, and the integral
 representation itself by direct quadrature.
+
+At depth one the quadrature runs in the self-inverse variable
+u = w(t) = -log tanh(t/2), in which the integral reads
+
+    psi(k; s) = 2 / Gamma(s) * integral of
+                w(u)^(s-1) * Ath_k(e^(-u))  over u > 0,
+
+cut at u = 60.  The discarded range is bounded through w(u) <= c e^(-u)
+and Ath_k(e^(-u)) <= e^(-u) / (1 - e^(-120)), c = 2 / (1 - e^(-120)),
+and the polylogarithm's own error bounds through the integral of
+w^(s-1); only the tanh-sinh rule's error is an estimate
+(psi_depth1_integral).
 """
 
 from __future__ import annotations
@@ -30,10 +42,10 @@ from .mzv_numeric import (
     EvalResult,
     PoleError,
     _activate,
+    _depth1_integral,
     _path_splits,
     _require_admissible,
     bernoulli_number,
-    polylog_near_one,
     sum_results,
     t0_value,
     t_value,
@@ -326,47 +338,32 @@ def _oddeven_display_sides(m: int, value) -> tuple[EvalResult, EvalResult]:
     return sum_results(pieces), value((2,)) * value((m + 1,))
 
 
-# Where the quadrature stops, and the depth of mpmath's tanh-sinh rule.
-_UPPER = 60
-_MAXDEGREE = 8
-
-
 def psi_depth1_integral(k: int, s: int) -> EvalResult:
-    """psi(k; s) for depth one by direct quadrature of the hyperbolic
-    integral.
+    """psi(k; s) for depth one by direct quadrature of its integral.
 
-    The integrand takes Ath(k; tanh(t/2)) = Ath_k(e^(-u)) from one call of
-    the polylogarithm near 1 at letter 2, with u = -log tanh(t/2) written
-    as 2 arctanh(e^(-t)) from t = 1 on, which avoids cancellation for
-    large t.  The discarded range beyond _UPPER is covered by an
-    explicit incomplete-gamma bound.
+    Substituting tanh(t/2) = e^(-u) in the hyperbolic integral, that is
+    t = w(u) = -log tanh(u/2), which is its own inverse, turns
+    dt / sinh(t) into du and the integral into
 
-    The rest of the error bound is not rigorous.  It is mpmath's own
-    tanh-sinh error estimate, taken with a safety factor of ten, plus a
-    flat 1e-40 that stands in for the error bounds of the polylogarithm
-    values, which are dropped.
+        psi(k; s) = 2/Gamma(s) * integral over u > 0 of
+                    w(u)^(s-1) Ath_k(e^(-u)) du,
+
+    whose integrand at s = 1 is one call of the polylogarithm near 1 at
+    letter 2.  The quadrature stops at U = 60.  Past U, w(u) <= c e^(-u)
+    and Ath_k(e^(-u)) <= e^(-u) / (1 - e^(-2U)) with
+    c = 2 / (1 - e^(-2U)), so the discarded range adds at most
+    c^s e^(-sU) / s!.  The polylogarithm's own bounds are covered by the
+    largest of them over the nodes times the integral of w^(s-1) over
+    [0, U], which is U at s = 1 and at most 2 (1 - 2^(-s)) Gamma(s)
+    zeta(s) for s >= 2.
+
+    The rest of the error bound is not rigorous: it is mpmath's own
+    tanh-sinh error estimate, taken with a safety factor of ten, and the
+    method says so.
     """
     require_int(k, "k", 2)
     require_int(s, "s", 1)
-    # The tail bound needs zeta(k).  Evaluating it before the quad also
-    # pins the configured precision, which mpmath.quad saves and restores.
-    zk = zeta(k)
-    gamma_s = math.factorial(s - 1)
-
-    def integrand(t):
-        if t < 1:
-            u = -mpmath.log(mpmath.tanh(t / 2))
-        else:
-            u = 2 * mpmath.atanh(mpmath.e ** (-t))
-        return t ** (s - 1) * polylog_near_one(k, u, 2).value / mpmath.sinh(t)
-
-    v, e = mpmath.quad(integrand, [0, 1, _UPPER], error=True, maxdegree=_MAXDEGREE)
-    tail = 4 * zk.value / ((1 - mpmath.e**-2) * gamma_s) * mpmath.gammainc(s, _UPPER)
-    # The polylogarithm bounds are orders of magnitude under the
-    # quadrature estimate; a flat cover for them rides along with the
-    # tenfold-inflated estimate.
-    bound = 2 * (10 * e + mpmath.mpf(10) ** -40) / gamma_s + tail
-    return EvalResult(2 * v / gamma_s, bound, "hyperbolic-quadrature")
+    return _depth1_integral(k, s, 2)
 
 
 def psi_depth1_integral_check(

@@ -512,15 +512,33 @@ def t0_direct(k, cutoff: int = 100_000) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# The polylogarithm just below 1, and exact zeta values at integers <= 0.
+# The polylogarithm just below 1, exact zeta values at integers <= 0, and
+# the depth-one integral over the polylogarithm.
 
 
-# B_0, B_1, ... as far as any caller has asked.
+# B_0, B_1, ... as far as any caller has asked, or further.
 _bernoulli_table: list[Fraction] = [Fraction(1)]
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], where tan x = sum_k T_k x^(2k-1) / (2k-1)!, in
+    ints: Brent and Harvey's algorithm TangentNumbers ("Fast computation
+    of Bernoulli, Tangent and Secant numbers", 2011, arXiv:1108.0286), with
+    O(n^2) small-int multiply-adds and no division."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number (convention with value -1/2 at n = 1).
+
+    The even ones come from the tangent numbers,
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 
     >>> bernoulli_number(4)
     Fraction(-1, 30)
@@ -528,11 +546,15 @@ def bernoulli_number(n: int) -> Fraction:
     if n < 0:
         raise ValueError("index must be nonnegative")
     items = _bernoulli_table
-    for m in range(len(items), n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * items[j]
-        items.append(-acc / (m + 1))
+    if n >= len(items):
+        # A build to n costs O(n^2), so each one at least doubles the
+        # table: requests for n = 1, 2, 3, ... then cost O(n^2) in all.
+        top = max(n, 2 * len(items)) // 2
+        tangent = _tangent_numbers(top)
+        fresh = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, top + 1):
+            fresh += [Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1)), Fraction(0)]
+        items += fresh[len(items) :]
     return items[n]
 
 
@@ -723,6 +745,71 @@ def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
     total += table.log_scale * uv ** (k - 1) * (table.log_shift - mpmath.log(uv))
     bound = rounding + table.series_error + table.series_tail
     return EvalResult(total, bound + _smear(total), "near-one-expansion")
+
+
+# Where the depth-one quadrature stops, and the depth of mpmath's tanh-sinh
+# rule.
+_UPPER = 60
+_MAXDEGREE = 8
+
+
+def _self_inverse(u, letter: int):
+    # w(u) = -log(1 - e^(-u)) at letter 1 and -log tanh(u/2) at letter 2,
+    # written through q = e^(-u) from u = 1 on, where w is small.
+    if u < 1:
+        return -mpmath.log(-mpmath.expm1(-u)) if letter == 1 else -mpmath.log(mpmath.tanh(u / 2))
+    q = mpmath.exp(-u)
+    return -mpmath.log1p(-q) if letter == 1 else 2 * mpmath.atanh(q)
+
+
+def _depth1_integral(k: int, s: int, letter: int) -> EvalResult:
+    """(letter/Gamma(s)) times the integral over u > 0 of
+    w(u)^(s-1) P(k, u, letter), for integers k >= 2 and s >= 1, where P is
+    polylog_near_one and w is the self-inverse map of _self_inverse.
+
+    Substituting t = w(u) in the defining integrals gives this form: at
+    letter 1 it is xi((k,); s), from t^(s-1) Li_k(1 - e^(-t)) / (e^t - 1),
+    and at letter 2 it is psi(k; s), from 2 t^(s-1) Ath_k(tanh(t/2)) /
+    sinh(t).  At s = 1 the integrand is P alone.
+
+    mpmath's tanh-sinh rule integrates over [0, 1, _UPPER].  The bound
+    adds three terms, times letter/Gamma(s) where they are integrals:
+    * the rule's own error estimate times ten, which is an estimate, not
+      a proof;
+    * the largest bound that polylog_near_one returned at the nodes,
+      times the integral of w^(s-1) over [0, _UPPER]: that is _UPPER at
+      s = 1, and for s >= 2 at most the integral over u > 0,
+      Gamma(s) zeta(s) at letter 1 and 2 (1 - 2^(-s)) Gamma(s) zeta(s) at
+      letter 2, with zeta(s) <= s/(s-1);
+    * the discarded range past U = _UPPER.  There w(u) <= c e^(-u) and
+      P(k, u, letter) <= e^(-u) / (1 - e^(-letter U)) = (c/letter) e^(-u),
+      with c = letter / (1 - e^(-letter U)), so the range adds at most
+      c^s e^(-sU) / s! to the result.
+    """
+    _activate()
+    # Build the coefficient table at the configured precision: mpmath.quad
+    # raises the working precision around the integrand.
+    _near_one_table(k, letter)
+    worst = mpmath.mpf(0)
+
+    def integrand(u):
+        nonlocal worst
+        p = polylog_near_one(k, u, letter)
+        worst = max(worst, p.error_bound)
+        return p.value if s == 1 else _self_inverse(u, letter) ** (s - 1) * p.value
+
+    v, e = mpmath.quad(integrand, [0, 1, _UPPER], error=True, maxdegree=_MAXDEGREE)
+    gamma_s = math.factorial(s - 1)
+    # letter/Gamma(s) times the integral of w^(s-1) over [0, _UPPER].
+    if s == 1:
+        w_mass = letter * _UPPER
+    else:
+        w_mass = letter * Fraction(s, s - 1) * (1 if letter == 1 else 2 * (1 - Fraction(1, 2**s)))
+    c = letter / (1 - mpmath.exp(-letter * _UPPER))
+    tail = c**s * mpmath.exp(-s * _UPPER) / math.factorial(s)
+    value = letter * v / gamma_s
+    bound = letter * 10 * e / gamma_s + worst * _mpf(w_mass) + tail
+    return EvalResult(value, bound + _smear(value), "tanh-sinh-estimate")
 
 
 # ---------------------------------------------------------------------------

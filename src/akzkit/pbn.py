@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_series import _OneMinusExpSums, exact_power, mpl_coeffs, stirling2
+from .exact_series import _OneMinusExpSums, mpl_coeffs, stirling2
 from .index_algebra import indices_up_to_weight, require_int, require_integer_index
 from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
@@ -66,7 +66,16 @@ class DirichletPolynomial:
         return cls(tuple(cleaned))
 
     def evaluate_exact(self, k: int) -> Fraction:
-        return sum((c * exact_power(m, -k) for m, c in self.terms), _ZERO)
+        """The value at the integer k, summed in ints over one common
+        denominator and divided once."""
+        require_int(k, "k")
+        # c m^(-k) = num / den with num and den ints.
+        parts = [
+            (c.numerator, c.denominator * m**k) if k >= 0 else (c.numerator * m**-k, c.denominator)
+            for m, c in self.terms
+        ]
+        denominator = math.lcm(*(den for _, den in parts))
+        return Fraction(sum(num * (denominator // den) for num, den in parts), denominator)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -266,12 +275,14 @@ def stirling_oracle_check(max_n: int = 30, max_abs_k: int = 8) -> list[Verificat
     """Series route against the Stirling closed forms, aggregated per
     (kind, k) with n swept from 0 to max_n."""
     log = RowLog()
-    for kind, oracle in (("B", poly_bernoulli_B_stirling), ("C", poly_bernoulli_C_stirling)):
+    for kind, symbolic in (("B", B_symbolic), ("C", C_symbolic)):
+        # Each closed form serves every k.
+        forms = [symbolic(n) for n in range(max_n + 1)]
         for k in range(-max_abs_k, max_abs_k + 1):
             bad = [
                 n
-                for n in range(max_n + 1)
-                if multi_poly_bernoulli(n, (k,), kind) != oracle(n, k)
+                for n, form in enumerate(forms)
+                if multi_poly_bernoulli(n, (k,), kind) != form.evaluate_exact(k)
             ]
             log.sweep(
                 "pbn.stirling-closed-form",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any
 
@@ -249,9 +249,12 @@ def _jsonable(value: Any) -> Any:
 
 
 def reports_to_document(reports: list[VerificationReport]) -> dict[str, Any]:
+    # Each row's dict is built from its fields as they are: _jsonable
+    # already copies every container, so a deep copy first is wasted.
+    names = [f.name for f in fields(VerificationReport)]
     return {
         "schema": SCHEMA,
-        "reports": [_jsonable(asdict(r)) for r in reports],
+        "reports": [{name: _jsonable(getattr(r, name)) for name in names} for r in reports],
         "summary": summarize(reports),
     }
 

@@ -151,6 +151,29 @@ def test_quadrature_battery():
         assert r.passed, r.one_line()
 
 
+def test_quadrature_rows_pass_on_their_bounds_alone():
+    reports = psi_depth1_integral_check(k_values=(2, 3), s_values=(1, 2), tolerance=0.0)
+    assert len(reports) == 4
+    assert not any(r.failed for r in reports), [r.one_line() for r in reports if r.failed]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_quadrature_at_one_lies_within_its_bound_of_zeta(k):
+    # psi(k; 1) = T(k + 1) = 2 (1 - 2^(-(k+1))) zeta(k + 1).  The error
+    # there is almost all discarded tail, so this pins the tail bound.
+    got = psi_depth1_integral(k, 1)
+    with mpmath.workprec(512):
+        want = 2 * (1 - mpmath.mpf(2) ** -(k + 1)) * mpmath.zeta(k + 1)
+        assert abs(got.value - want) <= got.error_bound
+
+
+@pytest.mark.parametrize("k, s", [(2, 1), (3, 2)])
+def test_quadrature_at_letter_one_is_xi(k, s):
+    got = mzv_numeric._depth1_integral(k, s, 1)
+    want = ak_zeta.xi_at_positive((k,), s)
+    assert _agree(got, want)
+
+
 def test_quadrature_rejects_divergent_parameters():
     with pytest.raises(ValueError):
         psi_depth1_integral(1, 1)

@@ -146,7 +146,7 @@ def test_brute_force_uses_no_series_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute-force oracle called series code")
 
-    for name in ("exact_power", "mpl_coeffs", "_OneMinusExpSums", "_families"):
+    for name in ("mpl_coeffs", "_OneMinusExpSums", "_families"):
         monkeypatch.setattr(pbn, name, forbidden)
     assert [multi_poly_bernoulli_brute(*case) for case in cases] == before
 
@@ -185,6 +185,22 @@ def test_symbolic_forms_evaluate_to_the_numbers():
         for k in range(-5, 6):
             assert bsym.evaluate_exact(k) == poly_bernoulli_B(n, k)
             assert csym.evaluate_exact(k) == poly_bernoulli_C(n, k)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {1: Fraction(-3, 4), 2: Fraction(5, 6), 3: 0, 6: Fraction(7, 10), 9: Fraction(-1, 9)},
+        {2: Fraction(1, 2), 4: Fraction(-1, 3), 5: 4},
+        {},
+    ],
+    ids=["fractions", "mixed", "empty"],
+)
+def test_evaluate_exact_sums_in_ints_to_the_fraction_sum(coeffs):
+    poly = pbn.DirichletPolynomial.from_dict(coeffs)
+    for k in range(-6, 7):
+        want = sum((Fraction(c) * Fraction(m) ** -k for m, c in coeffs.items()), Fraction(0))
+        assert poly.evaluate_exact(k) == want, k
 
 
 def test_bivariate_generating_function_rows():
