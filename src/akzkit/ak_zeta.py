@@ -37,7 +37,7 @@ from .index_algebra import (
 from .mzv_numeric import (
     EvalResult,
     PoleError,
-    _activate,
+    _at_precision,
     _float64_rounding,
     _iterated_log_tail,
     mzsv,
@@ -256,10 +256,10 @@ def _harmonic_sums(terms, cutoff: int) -> list[float]:
     return totals
 
 
+@_at_precision
 def _harmonic_series(terms, cutoff: int, method: str) -> list[EvalResult]:
     """The sums of `_harmonic_sums` with their bounds, in one pass."""
     require_int(cutoff, "cutoff", 1)
-    _activate()
     results = []
     for (a, b, p), value in zip(terms, _harmonic_sums(terms, cutoff)):
         # G_j(c) <= (1 + ln c)^j with no factorial saving, so none is claimed.

@@ -3,7 +3,11 @@
 Exit codes: 0 when the requested computation succeeds (and, for verify
 commands, every report passes), 1 when a verify command finds failures,
 2 for usage errors, computational dead ends (divergent values, bad
-indices, precision conflicts) and a report file that cannot be written.
+indices, a bound that certifies no digit) and a report file that cannot
+be written.
+
+Each command runs at the precision --prec-bits names, 256 bits by
+default.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 import mpmath
 
 from . import ak_zeta, level2, pbn, verify
-from .mzv_numeric import EvalResult, PoleError, configure, mzv, mzsv, t0_value, t_value
+from .mzv_numeric import _DEFAULT_PREC, EvalResult, PoleError, configure, mzv, mzsv, t0_value, t_value
 from .reports import any_failure, reports_to_document, summarize, write_json
 
 __all__ = ["parse_index", "certified_digits", "run_command", "main"]
@@ -243,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="poly-Bernoulli numbers, multiple zeta values, and their interpolations",
     )
     parser.add_argument(
-        "--prec-bits", type=int, default=None, help="working precision in bits (default 256)"
+        "--prec-bits", type=int, default=_DEFAULT_PREC, help="working precision in bits (default %(default)s)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,8 +331,7 @@ def run_command(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.prec_bits is not None:
-            configure(args.prec_bits)
+        configure(args.prec_bits)
         return args.func(args)
     except (PoleError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

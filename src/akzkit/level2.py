@@ -41,7 +41,6 @@ from .index_algebra import compositions, indices_up_to_weight, require_index, re
 from .mzv_numeric import (
     EvalResult,
     PoleError,
-    _activate,
     _depth1_integral,
     _path_splits,
     _require_admissible,
@@ -228,7 +227,6 @@ def _preload_t_values(formulas) -> None:
     runs here first with a stand-in that only records the index it is
     asked for and, like t_value, raises PoleError on a divergent one, so
     the indices come from the formulas themselves."""
-    _activate()
     indices = []
     stand_in = EvalResult(mpmath.mpf(0), mpmath.mpf(0), "stand-in")
 

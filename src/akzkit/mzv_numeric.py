@@ -24,21 +24,23 @@ single or one of a sweep over an explicit list of indices, goes through
 one entry that walks all the words of its uncached splits at once and
 then convolves them.  No coefficient list outlives its walk.
 
-Precision is global and meant to be configured once, before evaluation
-begins; after the first evaluation it is locked, so no cache key needs to
-name it.  Every bound assumes that its value was computed at that
-precision or above, so computing one while mpmath runs below it raises
-RuntimeError, before the first evaluation as after it; cached values are
-still served.  exact_result and sum_results pin the precision as every
-evaluator does.  Three caches keep what is asked for again: the value of
-each word integral at its exact point, each path-split result, and, per
-(k, letter), the u-independent coefficients of polylog_near_one.  The
-last is keyed on (k, letter) alone for the same reason: every entry is
-built after the lock.
+The precision belongs to each call, not to the process.  configure
+names the precision in bits that every bound assumes, and each entry point
+of the engine runs under mpmath.workprec at that precision, or at mpmath's
+own where that is higher, then leaves mpmath's precision as the caller had
+it; EvalResult arithmetic, exact_result and sum_results do the same.  A
+bound still assumes that its value was computed at the configured
+precision or above, and _smear refuses one that was not.  Three caches
+keep what is asked for again: the value of each word integral at its
+exact point, each path-split result, and, per (k, letter), the
+u-independent coefficients of polylog_near_one.  None of their keys names
+the precision: configure empties all three when it changes it.  Cached
+values are served without entering the scope.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,20 +88,23 @@ class PoleError(ValueError):
 
 _DEFAULT_PREC = 256
 
-_state = {"prec": _DEFAULT_PREC, "locked": False, "perturb": False}
+_state = {"prec": _DEFAULT_PREC, "perturb": False}
 
 _value_cache: dict[tuple, tuple] = {}
 _result_cache: dict[tuple, "EvalResult"] = {}
 
 
 def configure(prec_bits: int = _DEFAULT_PREC) -> None:
-    """Set the working precision in bits, an int of at least 64.  Call
-    before any evaluation; changing it afterwards raises, since cached
-    values would go stale."""
+    """Set the working precision in bits, an int of at least 64, and set
+    mpmath's own to match.  It may be called at any time: a new precision
+    empties the caches of values built at the old one.  No other call of
+    the package changes mpmath's precision."""
     require_int(prec_bits, "precision in bits", 64)
-    if _state["locked"] and prec_bits != _state["prec"]:
-        raise RuntimeError("precision is locked after the first evaluation")
-    _state["prec"] = prec_bits
+    if prec_bits != _state["prec"]:
+        _state["prec"] = prec_bits
+        _value_cache.clear()
+        _result_cache.clear()
+        _near_one_tables.clear()
     mpmath.mp.prec = prec_bits
 
 
@@ -107,12 +112,21 @@ def current_precision() -> int:
     return _state["prec"]
 
 
-def _activate() -> None:
-    # Entry point of every evaluator: pin mpmath to the configured
-    # precision and lock further configuration.
-    if not _state["locked"]:
-        mpmath.mp.prec = _state["prec"]
-        _state["locked"] = True
+def _at_precision(fn):
+    """Run fn under mpmath.workprec at the configured precision, or at
+    mpmath's own where that is higher, so the caller's precision is never
+    lowered and comes back as it was.  At or above the configured
+    precision fn runs as it is: nothing in the package assigns mpmath's
+    precision, and mpmath.quad restores what it raises."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if mpmath.mp.prec >= _state["prec"]:
+            return fn(*args, **kwargs)
+        with mpmath.workprec(_state["prec"]):
+            return fn(*args, **kwargs)
+
+    return scoped
 
 
 def set_perturbation(enabled: bool) -> None:
@@ -132,7 +146,7 @@ def _smear(value) -> Any:
     # Generous cover for accumulated rounding: dozens of guard bits below
     # working precision, far under every tolerance used by the checks.
     # Every computed bound passes through here, so a value computed below
-    # the configured precision, locked or not yet, raises instead.
+    # the configured precision raises instead.
     if mpmath.mp.prec < _state["prec"]:
         raise RuntimeError(
             f"mpmath's precision {mpmath.mp.prec} is below the configured precision {_state['prec']}"
@@ -148,14 +162,17 @@ class EvalResult:
     error_bound: Any
     method: str
 
+    @_at_precision
     def __add__(self, other: "EvalResult") -> "EvalResult":
         v = self.value + other.value
         return EvalResult(v, self.error_bound + other.error_bound + _smear(v), "composite")
 
+    @_at_precision
     def __sub__(self, other: "EvalResult") -> "EvalResult":
         v = self.value - other.value
         return EvalResult(v, self.error_bound + other.error_bound + _smear(v), "composite")
 
+    @_at_precision
     def __mul__(self, other: "EvalResult") -> "EvalResult":
         v = self.value * other.value
         b = (
@@ -165,19 +182,20 @@ class EvalResult:
         )
         return EvalResult(v, b + _smear(v), "composite")
 
+    @_at_precision
     def scale(self, c: Any) -> "EvalResult":
         c = _mpf(c)
         return EvalResult(self.value * c, self.error_bound * abs(c) + _smear(self.value * c), self.method)
 
 
+@_at_precision
 def exact_result(x: Any, method: str = "exact") -> EvalResult:
-    _activate()
     v = _mpf(x)
     return EvalResult(v, _smear(v), method)
 
 
+@_at_precision
 def sum_results(items: list[EvalResult], method: str = "composite") -> EvalResult:
-    _activate()
     value = mpmath.mpf(0)
     bound = mpmath.mpf(0)
     for item in items:
@@ -282,6 +300,7 @@ def _word_values(words, z) -> dict[tuple, tuple]:
     return out
 
 
+@_at_precision
 def _path_splits(indices, letter: int) -> list[EvalResult]:
     """The word integral from 0 to 1 of each index, in order, split at the
     fixed point of the involution that swaps dt/t with dt/(1-t^letter):
@@ -297,7 +316,6 @@ def _path_splits(indices, letter: int) -> list[EvalResult]:
     over many indices, and the two words of a single split, build each
     suffix they share once.  A divergent index raises PoleError before
     anything is built."""
-    _activate()
     indices = [_require_admissible(parts) for parts in indices]
     # The upper pieces of a split are the suffixes of the index's word.
     # The lower pieces are the prefixes of the reversed, letter-swapped
@@ -375,15 +393,14 @@ def zeta(s: int) -> EvalResult:
 def mzsv(k) -> EvalResult:
     """The star variant: summation over weakly increasing tuples,
     equivalently the sum of plain values over all coarsenings."""
-    _activate()
     parts = _require_admissible(k)
     return sum_results([mzv(c) for c in coarsenings(parts)], "coarsening-sum")
 
 
+@_at_precision
 def mpl_numeric(k, z) -> EvalResult:
     """Multiple polylogarithm at a real point with |z| <= 0.95, any index
     of positive integers (admissibility is not needed inside the disk)."""
-    _activate()
     parts = require_index(k)
     zv = _mpf(z)
     if not abs(zv) <= mpmath.mpf("0.95"):
@@ -459,6 +476,7 @@ def _float64_rounding(value: float, stages: int, cutoff: int) -> float:
     return abs(value) * stages * cutoff * 2.3e-16 * 8
 
 
+@_at_precision
 def _nested_sum(k, cutoff: int, parity: bool, method: str) -> EvalResult:
     """The nested sum of an admissible index, truncated at m_r <= cutoff,
     in float64, with m_i = i mod 2 when `parity` is set.  The bound adds
@@ -473,7 +491,6 @@ def _nested_sum(k, cutoff: int, parity: bool, method: str) -> EvalResult:
     """
     import numpy as np
 
-    _activate()
     parts = _require_admissible(k)
     require_int(cutoff, "cutoff", 1)
     m = np.arange(cutoff + 1, dtype=np.float64)
@@ -543,8 +560,7 @@ def bernoulli_number(n: int) -> Fraction:
     >>> bernoulli_number(4)
     Fraction(-1, 30)
     """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
+    require_int(n, "n", 0)
     items = _bernoulli_table
     if n >= len(items):
         # A build to n costs O(n^2), so each one at least doubles the
@@ -560,8 +576,8 @@ def bernoulli_number(n: int) -> Fraction:
 
 def zeta_nonpositive(n: int) -> Fraction:
     """Exact zeta value at an integer <= 0."""
-    if n > 0:
-        raise ValueError("argument must be <= 0")
+    if require_int(n, "n") > 0:
+        raise ValueError(f"n must be an integer <= 0, got {n!r}")
     if n == 0:
         return Fraction(-1, 2)
     m = -n
@@ -631,8 +647,8 @@ class _NearOneTable:
     exp_series: _FixedSeries
 
 
-# Keyed on (k, letter) alone: the precision is locked before the first
-# evaluation.
+# Keyed on (k, letter) alone: configure empties it when the precision
+# changes.
 _near_one_tables: dict[tuple[int, int], _NearOneTable] = {}
 
 
@@ -690,6 +706,7 @@ def _near_one_table(k: int, letter: int) -> _NearOneTable:
     return table
 
 
+@_at_precision
 def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
     """Li_k(e^(-u)) for integer k >= 2 and u > 0 at letter 1; at letter 2
     the level-two polylogarithm Ath_k(e^(-u)) = sum over odd n of
@@ -717,7 +734,6 @@ def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
     in u keeps more terms as k grows, so every truncated term is zeta at
     a negative integer and the tail bound holds for every k.
     """
-    _activate()
     require_int(k, "k", 2)
     if letter not in (1, 2):
         raise ValueError(f"letter must be 1 or 2, got {letter!r}")
@@ -762,6 +778,7 @@ def _self_inverse(u, letter: int):
     return -mpmath.log1p(-q) if letter == 1 else 2 * mpmath.atanh(q)
 
 
+@_at_precision
 def _depth1_integral(k: int, s: int, letter: int) -> EvalResult:
     """(letter/Gamma(s)) times the integral over u > 0 of
     w(u)^(s-1) P(k, u, letter), for integers k >= 2 and s >= 1, where P is
@@ -786,7 +803,6 @@ def _depth1_integral(k: int, s: int, letter: int) -> EvalResult:
       with c = letter / (1 - e^(-letter U)), so the range adds at most
       c^s e^(-sU) / s! to the result.
     """
-    _activate()
     # Build the coefficient table at the configured precision: mpmath.quad
     # raises the working precision around the integrand.
     _near_one_table(k, letter)

@@ -29,6 +29,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any
 
+import mpmath
+
 PASS_EXACT = "pass_exact"
 PASS_NUMERIC = "pass_numeric"
 FAIL = "fail"
@@ -100,9 +102,9 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def format_real(x: Any, digits: int = 20) -> str:
-    import mpmath
-
-    return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    # An mpf is printed from all the bits it holds, whatever mpmath's
+    # precision is now; only another number is converted first.
+    return mpmath.nstr(x if isinstance(x, mpmath.mpf) else mpmath.mpf(x), digits, strip_zeros=False)
 
 
 class RowLog:
@@ -191,9 +193,12 @@ class RowLog:
         """Add a row comparing two EvalResult-like objects.
 
         Both arguments need `.value` and `.error_bound` attributes.  The
-        pass condition is |lhs - rhs| <= tolerance + both error bounds.
+        pass condition is |lhs - rhs| <= tolerance + both error bounds,
+        evaluated exactly, not at mpmath's current precision.
         """
-        ok = abs(lhs.value - rhs.value) <= tolerance + lhs.error_bound + rhs.error_bound
+        gap = mpmath.fsub(lhs.value, rhs.value, exact=True)
+        allowed = mpmath.fadd(mpmath.fadd(tolerance, lhs.error_bound, exact=True), rhs.error_bound, exact=True)
+        ok = mpmath.fneg(allowed, exact=True) <= gap <= allowed
         self._add(
             VerificationReport(
                 identity_id=identity_id,

@@ -273,17 +273,3 @@ def test_series_oracle_rows_pass_on_their_bounds_alone():
     assert len(reports) == 27
     for r in reports:
         assert not r.failed, r.one_line()
-
-
-def test_series_oracles_pin_the_configured_precision_in_a_fresh_process():
-    # As the first evaluation, each oracle must start the configured
-    # precision, so arithmetic on its result does not meet 53 bits.
-    script = (
-        "import mpmath\n"
-        "from akzkit import current_precision\n"
-        "from akzkit.ak_zeta import eta_symmetric_oracle, xi_series_oracle\n"
-        "eta = eta_symmetric_oracle(1, 1, 1000)\n"
-        "assert mpmath.mp.prec == current_precision(), mpmath.mp.prec\n"
-        "eta.scale(2) + xi_series_oracle(1, 1, 1000)\n"
-    )
-    _run_fresh(script)

@@ -106,7 +106,8 @@ def test_mzv_prints_only_the_digits_its_bound_certifies(capsys):
 
 
 def test_low_precision_prints_only_certified_digits():
-    # Precision locks once per process, so the 64-bit run gets its own.
+    # The 64-bit run gets a process of its own, so the session's precision
+    # and caches stay as they are.
     src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.cli.__file__)))
     argv = ["--prec-bits", "64", "mzv", "--index", "1,2", "--digits", "40"]
     done = subprocess.run(

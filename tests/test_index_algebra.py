@@ -24,7 +24,7 @@ from akzkit.index_algebra import (
     word,
 )
 from akzkit.level2 import ath_coeffs
-from akzkit.mzv_numeric import mzv_direct, t0_direct
+from akzkit.mzv_numeric import bernoulli_number, mzv_direct, t0_direct, zeta_nonpositive
 from akzkit.pbn import B_symbolic
 
 indices = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
@@ -184,6 +184,10 @@ def test_require_int_names_the_argument(bad):
         lambda: ath_coeffs((2,), -1),
         lambda: exact_power(2, 1.5),
         lambda: B_symbolic(2).evaluate_exact(1.5),
+        lambda: bernoulli_number(True),
+        lambda: bernoulli_number(2.0),
+        lambda: zeta_nonpositive(-1.0),
+        lambda: zeta_nonpositive(1),
     ],
     ids=[
         "mzv_direct-zero-cutoff",
@@ -196,8 +200,12 @@ def test_require_int_names_the_argument(bad):
         "ath_coeffs-negative-cap",
         "exact_power-float-exponent",
         "evaluate_exact-float-argument",
+        "bernoulli_number-bool",
+        "bernoulli_number-float",
+        "zeta_nonpositive-float",
+        "zeta_nonpositive-positive",
     ],
 )
 def test_public_entries_refuse_what_require_int_refuses(call):
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError, match="^[a-z ]+ must be an integer"):
         call()

@@ -1,15 +1,12 @@
 """Parity-level analogues: series structure, psi routes, quadrature."""
 
 import dataclasses
-import os
-import subprocess
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-import akzkit
 from akzkit import ak_zeta, mzv_numeric
 from akzkit.level2 import (
     ath_coeffs,
@@ -192,40 +189,3 @@ def test_odd_depth_one_value_directly():
     want = zeta(3).scale(Fraction(7, 8))
     assert _agree(got, want)
     assert abs(t0_value((2,)).value - mpmath.pi**2 / 8) < 1e-60
-
-
-def test_quadrature_first_in_a_fresh_process_keeps_the_configured_precision():
-    # mpmath.quad saves and restores mpmath's precision around the
-    # integrand, so the quadrature must pin the configured precision first.
-    script = (
-        "import mpmath\n"
-        "from akzkit import current_precision\n"
-        "from akzkit.level2 import psi_at_positive, psi_depth1_integral\n"
-        "got = psi_depth1_integral(2, 1)\n"
-        "assert mpmath.mp.prec == current_precision(), (mpmath.mp.prec, current_precision())\n"
-        "want = psi_at_positive(1, 2, 1)\n"
-        "assert abs(got.value - want.value) <= got.error_bound + want.error_bound\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-
-
-@pytest.mark.parametrize("check", ["psi_formula_crosscheck", "t_binomial_identity_check"])
-def test_preloading_sweep_runs_first_in_a_fresh_process(check):
-    # The T-value preload scales a stand-in value before any evaluator has
-    # pinned the configured precision; it must pin it itself.
-    script = (
-        "from akzkit import level2\n"
-        f"reports = level2.{check}()\n"
-        "assert reports and not any(r.failed for r in reports)\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr

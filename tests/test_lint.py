@@ -8,7 +8,10 @@ somewhere in src/akzkit outside its own definition.
 
 Every export is bound: each name in the `__all__` of a module of
 src/akzkit, the package's own included, is an attribute of that module
-once imported."""
+once imported.
+
+Only `configure` sets mpmath's precision: no other statement in
+src/akzkit assigns `prec` or `dps` of `mp` or of `<anything>.mp`."""
 
 import ast
 import importlib
@@ -116,3 +119,56 @@ def test_the_scan_finds_an_unbound_export():
 def test_every_exported_name_is_bound(path):
     name = "akzkit" if path.stem == "__init__" else f"akzkit.{path.stem}"
     assert _unbound_exports(importlib.import_module(name)) == []
+
+
+def _is_mpmath_precision(node: ast.AST) -> bool:
+    # `mp.prec`, `mpmath.mp.dps` and the like.
+    if not (isinstance(node, ast.Attribute) and node.attr in ("prec", "dps")):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "mp") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "mp"
+    )
+
+
+def _precision_assignments(source: str) -> list[int]:
+    """The lines of the statements outside `configure` that assign
+    mpmath's precision."""
+    found = []
+
+    def visit(node: ast.AST, in_configure: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            inside = in_configure or (
+                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == "configure"
+            )
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and not inside:
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if any(_is_mpmath_precision(n) for t in targets for n in ast.walk(t)):
+                    found.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_the_scan_finds_a_precision_assignment():
+    source = (
+        "import mpmath\n"
+        "from mpmath import mp\n"
+        "def configure(bits):\n"
+        "    mpmath.mp.prec = bits\n"
+        "def lower():\n"
+        "    mpmath.mp.prec = 53\n"
+        "    mp.dps += 5\n"
+        "    a, mpmath.mp.prec = 1, 2\n"
+        "    prec = mpmath.mp.prec\n"
+        "class Holder:\n"
+        "    def run(self):\n"
+        "        self.mp.prec: int = 53\n"
+    )
+    assert _precision_assignments(source) == [6, 7, 8, 12]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_only_configure_sets_mpmath_precision(path):
+    assert _precision_assignments(path.read_text(encoding="utf-8")) == []
