@@ -1,12 +1,15 @@
 """Parity-level analogues: series structure, psi routes, quadrature."""
 
 import dataclasses
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import akzkit
 from akzkit import ak_zeta, mzv_numeric
 from akzkit.level2 import (
     ath_coeffs,
@@ -189,3 +192,26 @@ def test_odd_depth_one_value_directly():
     want = zeta(3).scale(Fraction(7, 8))
     assert _agree(got, want)
     assert abs(t0_value((2,)).value - mpmath.pi**2 / 8) < 1e-60
+
+
+@pytest.mark.parametrize("check", ["psi_formula_crosscheck", "t_binomial_identity_check"])
+def test_preloading_sweep_runs_first_in_a_fresh_process(check):
+    # The T-value preload scales a stand-in value before any other
+    # evaluator has run, with mpmath still at its default 53 bits; the
+    # sweep must hold at the configured precision and leave 53 as it was.
+    script = (
+        "import mpmath\n"
+        "from akzkit import current_precision, level2\n"
+        "assert mpmath.mp.prec == 53, mpmath.mp.prec\n"
+        f"reports = level2.{check}()\n"
+        "assert mpmath.mp.prec == 53, mpmath.mp.prec\n"
+        "assert current_precision() == 256, current_precision()\n"
+        "assert any(r.passed for r in reports), len(reports)\n"
+        "assert not any(r.failed for r in reports), [r.one_line() for r in reports if r.failed]\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(akzkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
