@@ -8,6 +8,7 @@ check in the package and returns structured reports.
 """
 
 from .index_algebra import (
+    PoleError,
     coarsenings,
     compositions,
     dual,
@@ -19,7 +20,6 @@ from .index_algebra import (
 )
 from .mzv_numeric import (
     EvalResult,
-    PoleError,
     configure,
     current_precision,
     mzv,

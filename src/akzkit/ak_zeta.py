@@ -23,11 +23,13 @@ import mpmath
 
 from .exact_series import TruncatedSeries, mpl_coeffs, negative_mpl
 from .index_algebra import (
+    PoleError,
     b_coefficient,
     compositions,
     depth,
     dual,
     indices_up_to_weight,
+    is_admissible,
     plus_one,
     refinements,
     require_index,
@@ -36,7 +38,6 @@ from .index_algebra import (
 )
 from .mzv_numeric import (
     EvalResult,
-    PoleError,
     _at_precision,
     _float64_rounding,
     _iterated_log_tail,
@@ -379,7 +380,7 @@ def eta_value_formulas_check(
             for r in range(1, k + 1):
                 for comp in compositions(k + m - r, r):
                     idx = tuple(c + 1 for c in comp)
-                    if idx[-1] < 2:
+                    if not is_admissible(idx):
                         continue
                     coeff = sum(_comb0(k + m - r - i, m - i) for i in range(1, idx[-1]))
                     if coeff:
@@ -490,7 +491,7 @@ def xi_depth1_enumeration_check(
     for k in range(1, max_k + 1):
         for m in range(1, max_m + 1):
             indices = [tuple(c + 1 for c in comp) for comp in compositions(m, k)]
-            indices = [j for j in indices if j[-1] >= 2]
+            indices = [j for j in indices if is_admissible(j)]
             for identity, at_positive, value in families:
                 pieces = [value(j).scale(j[-1] - 1) for j in indices]
                 log.numeric(

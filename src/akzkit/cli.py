@@ -21,7 +21,8 @@ import sys
 import mpmath
 
 from . import ak_zeta, level2, pbn, verify
-from .mzv_numeric import _DEFAULT_PREC, EvalResult, PoleError, configure, mzv, mzsv, t0_value, t_value
+from .index_algebra import require_index, require_signed_parts
+from .mzv_numeric import _DEFAULT_PREC, EvalResult, configure, mzv, mzsv, t0_value, t_value
 from .reports import any_failure, reports_to_document, summarize, write_json
 
 __all__ = ["parse_index", "certified_digits", "run_command", "main"]
@@ -50,10 +51,7 @@ def parse_index(text: str) -> tuple[str, tuple[int, ...]]:
         parts = tuple(int(piece) for piece in body.split(","))
     except ValueError:
         raise ValueError(f"index {text!r} is not a comma-separated integer list") from None
-    lower = 0 if sign == "neg" else 1
-    if any(p < lower for p in parts):
-        raise ValueError(f"index {text!r} has parts below {lower}")
-    return sign, parts
+    return sign, (require_signed_parts if sign == "neg" else require_index)(parts)
 
 
 def certified_digits(res: EvalResult) -> int | float:
@@ -333,7 +331,7 @@ def run_command(argv: list[str]) -> int:
     try:
         configure(args.prec_bits)
         return args.func(args)
-    except (PoleError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .index_algebra import compositions, require_int, require_signed_parts
+from .index_algebra import compositions, require_int, require_integer_index, require_signed_parts
 from .reports import RowLog, VerificationReport
 
 __all__ = [
@@ -214,8 +214,7 @@ def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:
     >>> mpl_coeffs((-1,), 5).coeffs[4]
     Fraction(4, 1)
     """
-    if not exponents:
-        raise ValueError("need at least one exponent")
+    exponents = require_integer_index(exponents)
     require_int(cap, "cap", 0)
     # Work in ints over one denominator D, the product over e > 0 of L^e
     # with L = lcm(1, ..., cap): m^(-e) is (L // m)^e / L^e for e > 0.
@@ -242,11 +241,8 @@ def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:
 
 @functools.lru_cache(maxsize=None)
 def _stirling2(n: int, m: int) -> int:
-    if n == 0:
-        return 1 if m == 0 else 0
-    if m <= 0 or m > n:
-        return 0
-    return m * _stirling2(n - 1, m) + _stirling2(n - 1, m - 1)
+    # Inclusion-exclusion over the blocks left empty by a map onto m labels.
+    return sum((-1) ** j * math.comb(m, j) * (m - j) ** n for j in range(m + 1)) // math.factorial(m)
 
 
 def stirling2(n: int, m: int) -> int:
@@ -255,9 +251,7 @@ def stirling2(n: int, m: int) -> int:
     >>> stirling2(4, 2)
     7
     """
-    if n < 0 or m < 0:
-        raise ValueError("arguments must be nonnegative")
-    return _stirling2(n, m)
+    return _stirling2(require_int(n, "n", 0), require_int(m, "m", 0))
 
 
 def _poly_trim(p: list[Fraction]) -> tuple[Fraction, ...]:

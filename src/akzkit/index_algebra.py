@@ -18,9 +18,10 @@ coarsenings are its word with any subset of 1s but the last flipped.
 
 This module holds the pure combinatorics the rest of the package leans
 on: that word and the maps read from it, the k_+ operator, composition
-and index enumeration, the product of binomial coefficients b(k; j)
-that appears in the finite evaluation formulas, and the integer
-validator every module uses.
+and index enumeration, and the product of binomial coefficients b(k; j)
+that appears in the finite evaluation formulas.  It also holds every
+argument check the package makes: the validators of integers, indices
+and parts, and the one admissibility rule, whose failure is PoleError.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ Composition = tuple[int, ...]
 __all__ = [
     "Index",
     "Composition",
+    "PoleError",
     "require_int",
     "weight",
     "depth",
     "require_index",
     "require_signed_parts",
     "require_integer_index",
+    "require_admissible",
     "is_admissible",
     "plus_one",
     "word",
@@ -51,6 +54,10 @@ __all__ = [
     "compositions",
     "indices_up_to_weight",
 ]
+
+
+class PoleError(ValueError):
+    """An evaluation point where the requested function diverges."""
 
 
 def require_int(value: int, name: str, minimum: int | None = None) -> int:
@@ -109,10 +116,23 @@ def depth(k: Iterable[int]) -> int:
     return len(tuple(k))
 
 
+def require_admissible(k: Iterable[int]) -> Index:
+    """Validate and normalize an admissible index: its last part is at
+    least 2, so the associated series converges.  Raises PoleError on a
+    valid index that is not admissible."""
+    parts = require_index(k)
+    if parts[-1] < 2:
+        raise PoleError(f"divergent series: index {parts!r} must end with a part >= 2")
+    return parts
+
+
 def is_admissible(k: Iterable[int]) -> bool:
     """True iff the last part is >= 2, so the associated series converges."""
-    parts = require_index(k)
-    return parts[-1] >= 2
+    try:
+        require_admissible(k)
+    except PoleError:
+        return False
+    return True
 
 
 def plus_one(k: Iterable[int]) -> Index:
@@ -160,10 +180,7 @@ def dual(k: Iterable[int]) -> Index:
     >>> dual((2,))
     (2,)
     """
-    parts = require_index(k)
-    if parts[-1] < 2:
-        raise ValueError(f"dual requires an admissible index, got {parts!r}")
-    return _unword(1 - s for s in reversed(word(parts)))
+    return _unword(1 - s for s in reversed(word(require_admissible(k))))
 
 
 def _flips(k: Iterable[int], symbol: int) -> tuple[Index, ...]:
@@ -200,15 +217,10 @@ def b_coefficient(k: Iterable[int], j: Iterable[int]) -> int:
     k must be an index and j a nonnegative composition of the same depth.
     """
     kp = require_index(k)
-    jp = tuple(j)
+    jp = _require_parts(j, "composition", 0)
     if len(kp) != len(jp):
         raise ValueError(f"depth mismatch: index {kp!r} vs composition {jp!r}")
-    prod = 1
-    for ki, ji in zip(kp, jp):
-        if ji < 0:
-            raise ValueError("composition parts must be >= 0")
-        prod *= math.comb(ki + ji - 1, ji)
-    return prod
+    return math.prod(math.comb(ki + ji - 1, ji) for ki, ji in zip(kp, jp))
 
 
 def compositions(total: int, parts: int) -> list[Composition]:
@@ -218,17 +230,13 @@ def compositions(total: int, parts: int) -> list[Composition]:
     compositions(2, 2) == [(2, 0), (1, 1), (0, 2)].  The count is
     C(total + parts - 1, parts - 1).
     """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    if parts == 1:
-        return [(total,)]
-    out: list[Composition] = []
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    # Stars and bars: parts - 1 bars among total + parts - 1 slots.  The
+    # bar positions grow with the composition in lexicographic order.
+    slots = require_int(total, "total", 0) + require_int(parts, "parts", 1) - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        for bars in reversed(list(itertools.combinations(range(slots), parts - 1)))
+    ]
 
 
 def indices_up_to_weight(max_weight: int) -> list[Index]:

@@ -37,13 +37,19 @@ import mpmath
 
 from .ak_zeta import height_one_alternating, positive_terms
 from .exact_series import TruncatedSeries, mpl_coeffs
-from .index_algebra import compositions, indices_up_to_weight, require_index, require_int
+from .index_algebra import (
+    PoleError,
+    compositions,
+    indices_up_to_weight,
+    is_admissible,
+    require_admissible,
+    require_index,
+    require_int,
+)
 from .mzv_numeric import (
     EvalResult,
-    PoleError,
     _depth1_integral,
     _path_splits,
-    _require_admissible,
     bernoulli_number,
     sum_results,
     t0_value,
@@ -141,7 +147,7 @@ def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
             continue
         series = ath_coeffs(k, cap)
         deriv = series.derivative()
-        if k[-1] >= 2:
+        if is_admissible(k):
             lowered = k[:-1] + (k[-1] - 1,)
             # z * d/dz reproduces the series with the last exponent lowered.
             shifted = TruncatedSeries((_ZERO,) + deriv.coeffs)
@@ -231,7 +237,7 @@ def _preload_t_values(formulas) -> None:
     stand_in = EvalResult(mpmath.mpf(0), mpmath.mpf(0), "stand-in")
 
     def record(k) -> EvalResult:
-        indices.append(_require_admissible(k))
+        indices.append(require_admissible(k))
         return stand_in
 
     for formula in formulas:

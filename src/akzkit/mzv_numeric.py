@@ -49,10 +49,13 @@ from typing import Any
 import mpmath
 
 from .index_algebra import (
+    PoleError,
     coarsenings,
     depth,
     dual,
     indices_up_to_weight,
+    is_admissible,
+    require_admissible,
     require_index,
     require_int,
     weight,
@@ -80,10 +83,6 @@ __all__ = [
     "duality_numeric_check",
     "direct_oracle_check",
 ]
-
-
-class PoleError(ValueError):
-    """An evaluation point where the requested function diverges."""
 
 
 _DEFAULT_PREC = 256
@@ -263,7 +262,9 @@ def _word_values(words, z) -> dict[tuple, tuple]:
     branches, until its last child has stepped from it.  Each word is
     evaluated at its own cap on its node's list; since coefficient n
     never depends on the cap, each value is the one its word would get
-    alone."""
+    alone.  Every nonempty word must end in a nonzero symbol, as the
+    words of indices and their suffixes do, so that no integral meets a
+    pole at the origin."""
     point = z._mpf_
     out: dict[tuple, tuple] = {}
     missing: dict[tuple, tuple[int, int]] = {}  # word -> (cap, ones)
@@ -271,9 +272,6 @@ def _word_values(words, z) -> dict[tuple, tuple]:
         hit = _value_cache.get((w, point)) if w else (mpmath.mpf(1), mpmath.mpf(0))
         if hit is not None:
             out[w] = hit
-        elif w[-1] == 0:
-            # Only the innermost form can meet a nonzero constant term.
-            raise PoleError(f"word {w!r} is not integrable at the origin")
         else:
             ones = sum(1 for s in w if s != 0)
             missing[w] = (_series_cap_for(z, ones), ones)
@@ -316,7 +314,7 @@ def _path_splits(indices, letter: int) -> list[EvalResult]:
     over many indices, and the two words of a single split, build each
     suffix they share once.  A divergent index raises PoleError before
     anything is built."""
-    indices = [_require_admissible(parts) for parts in indices]
+    indices = [require_admissible(parts) for parts in indices]
     # The upper pieces of a split are the suffixes of the index's word.
     # The lower pieces are the prefixes of the reversed, letter-swapped
     # word, which is the dual's word: prefix j is suffix L - j of it, so
@@ -352,13 +350,6 @@ def _path_splits(indices, letter: int) -> list[EvalResult]:
 # Level one: multiple zeta values.
 
 
-def _require_admissible(k) -> tuple[int, ...]:
-    parts = require_index(k)
-    if parts[-1] < 2:
-        raise PoleError(f"divergent series: index {parts!r} must end with a part >= 2")
-    return parts
-
-
 def _split_value(parts: tuple[int, ...], letter: int) -> EvalResult:
     # The cached path split of an admissible index, built if missing.
     res = _result_cache.get((letter, parts))
@@ -373,7 +364,7 @@ def mzv(k) -> EvalResult:
 
     Raises PoleError when the last part is 1.
     """
-    parts = _require_admissible(k)
+    parts = require_admissible(k)
     res = _split_value(parts, 1)
     if _state["perturb"] and parts == (1, 2):
         return EvalResult(res.value * (1 + mpmath.mpf("1e-6")), res.error_bound, res.method + "+nudge")
@@ -393,7 +384,7 @@ def zeta(s: int) -> EvalResult:
 def mzsv(k) -> EvalResult:
     """The star variant: summation over weakly increasing tuples,
     equivalently the sum of plain values over all coarsenings."""
-    parts = _require_admissible(k)
+    parts = require_admissible(k)
     return sum_results([mzv(c) for c in coarsenings(parts)], "coarsening-sum")
 
 
@@ -419,12 +410,12 @@ def mpl_numeric(k, z) -> EvalResult:
 def t0_value(k) -> EvalResult:
     """The parity-restricted zeta value: the defining sum runs over
     0 < m_1 < ... < m_r with m_i = i mod 2."""
-    return _split_value(_require_admissible(k), 2)
+    return _split_value(require_admissible(k), 2)
 
 
 def t_value(k) -> EvalResult:
     """2^depth times the parity-restricted value."""
-    parts = _require_admissible(k)
+    parts = require_admissible(k)
     return t0_value(parts).scale(2 ** depth(parts))
 
 
@@ -491,7 +482,7 @@ def _nested_sum(k, cutoff: int, parity: bool, method: str) -> EvalResult:
     """
     import numpy as np
 
-    parts = _require_admissible(k)
+    parts = require_admissible(k)
     require_int(cutoff, "cutoff", 1)
     m = np.arange(cutoff + 1, dtype=np.float64)
     m[0] = 1.0  # placeholder; slot 0 is zeroed after each power
@@ -838,7 +829,7 @@ def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
     log = RowLog()
     pairs = []
     for k in sorted(indices_up_to_weight(max_weight), key=weight):
-        if k[-1] >= 2:
+        if is_admissible(k):
             d = dual(k)
             if (d, k) not in pairs:
                 pairs.append((k, d))

@@ -124,14 +124,18 @@ def _families(index: tuple[int, ...]) -> dict[str, _Family]:
     return {kind: _Family(kind, sums) for kind in "BC"}
 
 
-def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
-    """n-th number of the given kind ("B" or "C") for a multi-index of
-    arbitrary integers."""
+def _require_number_args(n: int, index: tuple[int, ...], kind: str) -> tuple[int, ...]:
+    # The arguments of one multi-poly-Bernoulli number; returns the index.
     if kind not in ("B", "C"):
         raise ValueError(f'kind must be "B" or "C", got {kind!r}')
     require_int(n, "n", 0)
-    index = require_integer_index(index)
-    return _families(index)[kind].number(n)
+    return require_integer_index(index)
+
+
+def multi_poly_bernoulli(n: int, index: tuple[int, ...], kind: str) -> Fraction:
+    """n-th number of the given kind ("B" or "C") for a multi-index of
+    arbitrary integers."""
+    return _families(_require_number_args(n, index, kind))[kind].number(n)
 
 
 def poly_bernoulli_B(n: int, k: int) -> Fraction:
@@ -199,11 +203,7 @@ def multi_poly_bernoulli_brute(n: int, index: tuple[int, ...], kind: str) -> Fra
     common denominator, the product over e_i > 0 of lcm(1, ..., n+1)^e_i,
     so the tuples are summed in ints and the sum is divided once.
     """
-    if kind not in ("B", "C"):
-        raise ValueError(f'kind must be "B" or "C", got {kind!r}')
-    require_int(n, "n", 0)
-    index = require_integer_index(index)
-    weights, denominator = _brute_weights(n, index, kind)
+    weights, denominator = _brute_weights(n, _require_number_args(n, index, kind), kind)
     *inner, last = weights
     total = 0
     for top in range(1, n + 2):
@@ -381,7 +381,8 @@ def finite_mzv_mod_p(index: tuple[int, ...], p: int) -> int:
     """sum over 0 < m_1 < ... < m_r < p of prod m_i^(-k_i), as a residue
     mod the prime p."""
     index = require_integer_index(index)
-    if p < 2:
+    require_int(p, "p", 2)
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be a prime, got {p}")
     total = 0
     for ms in itertools.combinations(range(1, p), len(index)):

@@ -10,6 +10,7 @@ from typing import Callable
 
 from . import ak_zeta, level2, pbn
 from .exact_series import negative_mpl_certificate_check
+from .index_algebra import require_int
 from .mzv_numeric import direct_oracle_check, duality_numeric_check, set_perturbation
 from .reports import VerificationReport
 
@@ -81,8 +82,7 @@ def verify_all(
     have teeth.  The precision is whatever `mzv_numeric.configure` last
     set (256 bits by default).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    require_int(jobs, "jobs", 1)
     tasks = default_tasks(tolerance=tolerance, max_weight=max_weight)
     set_perturbation(inject_perturbation)
     merged: list[VerificationReport] = []

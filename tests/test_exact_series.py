@@ -238,6 +238,17 @@ def test_stirling2_recurrence(n, m):
     assert stirling2(n + 1, m) == m * stirling2(n, m) + stirling2(n, m - 1)
 
 
+@pytest.mark.parametrize("exponents", [(), (1.5,), (True,), (2, "1")], ids=["empty", "float", "bool", "str"])
+def test_mpl_coeffs_refuses_what_require_integer_index_refuses(exponents):
+    with pytest.raises(ValueError, match="index"):
+        mpl_coeffs(exponents, 4)
+
+
+def test_stirling2_takes_large_n_without_recursion():
+    # Surjections of 1200 elements onto 3 blocks, over 3!.
+    assert stirling2(1200, 3) == (3**1200 - 3 * 2**1200 + 3) // 6
+
+
 def test_rational_rep_taylor_matches_geometric_expansion():
     # z / (1 - z)^2 = sum n z^n
     rep = RationalFunctionRep((Fraction(0), Fraction(1)), 2)

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from akzkit import verify
 from akzkit.ak_zeta import eta_symmetric_oracle, xi_series_oracle
-from akzkit.exact_series import exact_power, mpl_coeffs
+from akzkit.exact_series import exact_power, mpl_coeffs, stirling2
 from akzkit.index_algebra import (
+    PoleError,
     _unword,
     b_coefficient,
     coarsenings,
@@ -25,7 +27,7 @@ from akzkit.index_algebra import (
 )
 from akzkit.level2 import ath_coeffs
 from akzkit.mzv_numeric import bernoulli_number, mzv_direct, t0_direct, zeta_nonpositive
-from akzkit.pbn import B_symbolic
+from akzkit.pbn import B_symbolic, finite_mzv_mod_p
 
 indices = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
 # Refinement sets grow like 2^weight, so the tests that enumerate them
@@ -68,7 +70,7 @@ def test_dual_small_table():
 
 
 def test_dual_rejects_non_admissible():
-    with pytest.raises(ValueError):
+    with pytest.raises(PoleError):
         dual((2, 1))
 
 
@@ -188,6 +190,11 @@ def test_require_int_names_the_argument(bad):
         lambda: bernoulli_number(2.0),
         lambda: zeta_nonpositive(-1.0),
         lambda: zeta_nonpositive(1),
+        lambda: compositions(True, 1),
+        lambda: compositions(2.0, 2),
+        lambda: stirling2(3.0, 2),
+        lambda: finite_mzv_mod_p((2,), 2.0),
+        lambda: verify.verify_all(jobs=True),
     ],
     ids=[
         "mzv_direct-zero-cutoff",
@@ -204,8 +211,15 @@ def test_require_int_names_the_argument(bad):
         "bernoulli_number-float",
         "zeta_nonpositive-float",
         "zeta_nonpositive-positive",
+        "compositions-bool-total",
+        "compositions-float-total",
+        "stirling2-float",
+        "finite_mzv_mod_p-float-prime",
+        "verify_all-bool-jobs",
     ],
 )
-def test_public_entries_refuse_what_require_int_refuses(call):
+def test_public_entries_refuse_what_require_int_refuses(call, monkeypatch):
+    # An accepted verify_all(jobs=...) runs an empty battery, not the full one.
+    monkeypatch.setattr(verify, "default_tasks", lambda **settings: [])
     with pytest.raises(ValueError, match="^[a-z ]+ must be an integer"):
         call()

@@ -256,6 +256,11 @@ def test_finite_sum_mod_p_small_case_by_hand():
     assert finite_mzv_mod_p((1,), 5) == 0
 
 
+def test_finite_sum_mod_p_refuses_a_composite_modulus():
+    with pytest.raises(ValueError, match="p must be a prime, got 9"):
+        finite_mzv_mod_p((2,), 9)
+
+
 def test_rejects_garbage_indices():
     with pytest.raises((ValueError, TypeError)):
         multi_poly_bernoulli(3, (), "B")

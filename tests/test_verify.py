@@ -1,5 +1,8 @@
-"""The battery's task list, and what the benchmark's set-up time covers."""
+"""The battery's task list, the package names the benchmark traces, and
+what the benchmark's set-up time covers."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +12,7 @@ import akzkit
 from akzkit.verify import default_tasks
 
 _BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
+_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
 
 def test_benchmark_times_exactly_the_battery_tasks():
@@ -22,6 +26,26 @@ def test_benchmark_times_exactly_the_battery_tasks():
         if name.startswith("verify.task.") and name.endswith(".s")
     ]
     assert sorted(declared) == sorted(name for name, _ in default_tasks())
+
+
+def test_every_traced_layer_resolves_on_the_package():
+    # A traced benchmark run looks each (module, attribute) of LAYERS up
+    # with a bare getattr, so a name moved or renamed in akzkit crashes it.
+    with open(_TRACING, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    ]
+    missing = []
+    for module, attr, _ in layers:
+        found = importlib.import_module(f"akzkit.{module}")
+        for name in attr.split("."):
+            found = getattr(found, name, None)
+        if not callable(found):
+            missing.append(f"{module}.{attr}")
+    assert layers and missing == []
 
 
 def test_configuring_the_package_imports_no_numpy():
