@@ -47,7 +47,7 @@ from .mzv_numeric import (
     zeta,
 )
 from .pbn import B_symbolic, DirichletPolynomial, multi_poly_bernoulli
-from .reports import NOT_COVERED, SKIPPED_POLE, RowLog, VerificationReport
+from .reports import DEFAULT_TOLERANCE, NOT_COVERED, SKIPPED_POLE, RowLog, VerificationReport
 
 __all__ = [
     "positive_terms",
@@ -333,7 +333,7 @@ def landen_check(max_weight: int = 5, order: int = 20) -> list[VerificationRepor
 
 
 def etaxi_relation_check(
-    max_weight: int = 5, m_values: tuple[int, ...] = (1, 2, 3), tolerance: float = 1e-8
+    max_weight: int = 5, m_values: tuple[int, ...] = (1, 2, 3), tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
     """The reflection pair tying the two interpolations together:
 
@@ -363,7 +363,7 @@ def _comb0(n: int, k: int) -> int:
 
 
 def eta_value_formulas_check(
-    max_k: int = 4, max_m: int = 4, tolerance: float = 1e-8
+    max_k: int = 4, max_m: int = 4, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
     """Depth-one eta written directly in plain multiple zeta values:
 
@@ -397,7 +397,7 @@ def eta_value_formulas_check(
 
 
 def eta_symmetry_check(
-    max_k: int = 4, max_n: int = 4, tolerance: float = 1e-8
+    max_k: int = 4, max_n: int = 4, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
     """Symmetry of depth-one eta in its two slots: eta(k; n) = eta(n; k)."""
     log = RowLog()
@@ -435,7 +435,7 @@ def eta_threeway_check(
             {"k": k, "n": n, "legs": "star-combination-vs-swapped"},
             a,
             b,
-            1e-8,
+            DEFAULT_TOLERANCE,
         )
         # One pass for every pair, charged to the first series row.
         if oracles is None:
@@ -474,7 +474,7 @@ def eta_dual_pair_check(max_k: int = 8, max_n: int = 8) -> list[VerificationRepo
 
 
 def xi_depth1_enumeration_check(
-    max_k: int = 4, max_m: int = 4, tolerance: float = 1e-8
+    max_k: int = 4, max_m: int = 4, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
     """Depth-one xi and eta by direct enumeration:
 
@@ -541,7 +541,7 @@ _FAMILY_CASES = (
 )
 
 
-def xi_family_crosscheck(tolerance: float = 1e-8) -> list[VerificationReport]:
+def xi_family_crosscheck(tolerance: float = DEFAULT_TOLERANCE) -> list[VerificationReport]:
     """Explicit closed-form families against the general combination
     route, at arguments where every constituent converges."""
     log = RowLog()
@@ -624,7 +624,7 @@ def nonpositive_specialization_check(
     return log.rows
 
 
-def display_identities_check(tolerance: float = 1e-8) -> list[VerificationReport]:
+def display_identities_check(tolerance: float = DEFAULT_TOLERANCE) -> list[VerificationReport]:
     """Two pinned-down consequences, kept as literal displays.
 
     First, the weight-five relation produced by expanding the two-slot

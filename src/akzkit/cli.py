@@ -21,9 +21,9 @@ import sys
 import mpmath
 
 from . import ak_zeta, level2, pbn, verify
-from .index_algebra import require_index, require_signed_parts
+from .index_algebra import require_index, require_int, require_signed_parts, require_tolerance
 from .mzv_numeric import _DEFAULT_PREC, EvalResult, configure, mzv, mzsv, t0_value, t_value
-from .reports import any_failure, reports_to_document, summarize, write_json
+from .reports import DEFAULT_TOLERANCE, any_failure, reports_to_document, summarize, write_json
 
 __all__ = ["parse_index", "certified_digits", "run_command", "main"]
 
@@ -191,32 +191,29 @@ def _cmd_verify_all(args) -> int:
     return _print_reports(reports, args.json)
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers of at least `low`, so that a range
-    that would run no check, or print no digit, is a usage error."""
+def _checked(parse_and_check):
+    """An argparse type from a function that parses its text and applies
+    a validator of index_algebra: a ValueError from either step is a
+    usage error that carries its message."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+            return parse_and_check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-def _tolerance(text: str) -> float:
-    """An argparse type for a finite tolerance of at least 0: inf would
-    pass every row and nan or a negative one would fail every row."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least `low`, so that a range
+    that would run no check, or print no digit, is a usage error."""
+    return _checked(lambda text: require_int(int(text), "value", low))
+
+
+# A tolerance of inf would pass every row and nan or a negative one would
+# fail every row, so require_tolerance refuses them.
+_tolerance = _checked(lambda text: require_tolerance(float(text)))
 
 
 def _json_target(text: str) -> str:
@@ -293,14 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--max", type=_int_at_least(1), default=4, help="range cap where the target takes one"
     )
-    q.add_argument("--tol", type=_tolerance, default=1e-8)
+    q.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
     q.add_argument(
         "--json", type=_json_target, default=None, help="write reports as JSON ('-' for stdout)"
     )
     q.set_defaults(func=_cmd_level2_verify)
 
     p = sub.add_parser("verify-all", help="run every identity check in the package")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
     p.add_argument(
         "--max-weight",
         type=_int_at_least(2),

@@ -27,7 +27,6 @@ from .reports import RowLog, VerificationReport
 
 __all__ = [
     "TruncatedSeries",
-    "exact_power",
     "mpl_coeffs",
     "stirling2",
     "RationalFunctionRep",
@@ -189,17 +188,6 @@ def compose_one_minus_exp(a: TruncatedSeries, sign: int, cap: int) -> TruncatedS
         raise ValueError("sign must be +1 or -1")
     sums = zip(range(cap + 1), _OneMinusExpSums(lambda _: a.coeffs[: cap + 1]).stream())
     return TruncatedSeries(tuple(Fraction(sign**n * t, den * math.factorial(n)) for n, (t, den) in sums))
-
-
-def exact_power(m: int, e: int) -> Fraction:
-    """m^e as an exact Fraction, for any integer exponent e.
-
-    >>> exact_power(2, -3)
-    Fraction(1, 8)
-    """
-    require_int(m, "m")
-    require_int(e, "e")
-    return Fraction(m**e) if e >= 0 else Fraction(1, m ** (-e))
 
 
 def mpl_coeffs(exponents: tuple[int, ...], cap: int) -> TruncatedSeries:

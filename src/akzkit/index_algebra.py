@@ -21,7 +21,8 @@ on: that word and the maps read from it, the k_+ operator, composition
 and index enumeration, and the product of binomial coefficients b(k; j)
 that appears in the finite evaluation formulas.  It also holds every
 argument check the package makes: the validators of integers, indices
-and parts, and the one admissibility rule, whose failure is PoleError.
+and parts, the one admissibility rule, whose failure is PoleError, and
+require_tolerance, the rule every check's tolerance obeys.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "Composition",
     "PoleError",
     "require_int",
+    "require_tolerance",
     "weight",
     "depth",
     "require_index",
@@ -75,6 +77,24 @@ def require_int(value: int, name: str, minimum: int | None = None) -> int:
     if not is_int or (minimum is not None and value < minimum):
         floor = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def require_tolerance(value: float) -> float:
+    """Return value if it is an int or float (bool excluded) that is finite
+    and at least 0, else raise ValueError: an infinite tolerance would pass
+    every row of a check, and nan or a negative one would fail every row.
+
+    >>> require_tolerance(0)
+    0
+    >>> require_tolerance(float("inf"))
+    Traceback (most recent call last):
+    ...
+    ValueError: tolerance must be a finite number >= 0, got inf
+    """
+    is_real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_real or not 0 <= value < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {value!r}")
     return value
 
 

@@ -18,13 +18,11 @@ At depth one the quadrature runs in the self-inverse variable
 u = w(t) = -log tanh(t/2), in which the integral reads
 
     psi(k; s) = 2 / Gamma(s) * integral of
-                w(u)^(s-1) * Ath_k(e^(-u))  over u > 0,
+                w(u)^(s-1) * Ath_k(e^(-u))  over u > 0.
 
-cut at u = 60.  The discarded range is bounded through w(u) <= c e^(-u)
-and Ath_k(e^(-u)) <= e^(-u) / (1 - e^(-120)), c = 2 / (1 - e^(-120)),
-and the polylogarithm's own error bounds through the integral of
-w^(s-1); only the tanh-sinh rule's error is an estimate
-(psi_depth1_integral).
+psi_depth1_integral evaluates it with mzv_numeric._depth1_integral,
+which derives its bound; only the tanh-sinh rule's error in it is an
+estimate.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .mzv_numeric import (
     t_value,
     zeta,
 )
-from .reports import SKIPPED_POLE, RowLog, VerificationReport
+from .reports import DEFAULT_TOLERANCE, SKIPPED_POLE, RowLog, VerificationReport
 
 __all__ = [
     "ath_coeffs",
@@ -256,11 +254,13 @@ def _psi_sides(r: int, k: int, m: int, value) -> tuple[EvalResult, EvalResult]:
 
 
 def psi_formula_crosscheck(
-    max_r: int = 3, max_k: int = 3, m_values: tuple[int, ...] = (1, 2, 3), tolerance: float = 1e-8
+    max_r: int = 3, max_k: int = 3, m_values: tuple[int, ...] = (1, 2, 3), tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
     """The two closed expressions for height-one psi against each other.
     Instances whose alternate route hits a divergent T value are reported
     as skipped."""
+    require_int(max_r, "max_r", 1)
+    require_int(max_k, "max_k", 1)
     for m in m_values:
         require_int(m, "m", 1)
     log = RowLog()
@@ -276,8 +276,9 @@ def psi_formula_crosscheck(
     return log.rows
 
 
-def height_one_duality_check(max_rk: int = 4, tolerance: float = 1e-8) -> list[VerificationReport]:
+def height_one_duality_check(max_rk: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> list[VerificationReport]:
     """T(1^(r-1), k+1) = T(1^(k-1), r+1), the height-one duality."""
+    require_int(max_rk, "max_rk", 1)
     log = RowLog()
     grid = [(r, k) for r in range(1, max_rk + 1) for k in range(r, max_rk + 1)]
     # Each index's path split reads its dual's word too.
@@ -297,7 +298,7 @@ def t_binomial_identity_check(
     m_values: tuple[int, ...] = (1, 2),
     r_values: tuple[int, ...] = (1, 2),
     k_values: tuple[int, ...] = (2, 3),
-    tolerance: float = 1e-8,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[VerificationReport]:
     """The symmetric binomial-sum identity mixing the two parameters:
 
@@ -353,17 +354,10 @@ def psi_depth1_integral(k: int, s: int) -> EvalResult:
                     w(u)^(s-1) Ath_k(e^(-u)) du,
 
     whose integrand at s = 1 is one call of the polylogarithm near 1 at
-    letter 2.  The quadrature stops at U = 60.  Past U, w(u) <= c e^(-u)
-    and Ath_k(e^(-u)) <= e^(-u) / (1 - e^(-2U)) with
-    c = 2 / (1 - e^(-2U)), so the discarded range adds at most
-    c^s e^(-sU) / s!.  The polylogarithm's own bounds are covered by the
-    largest of them over the nodes times the integral of w^(s-1) over
-    [0, U], which is U at s = 1 and at most 2 (1 - 2^(-s)) Gamma(s)
-    zeta(s) for s >= 2.
-
-    The rest of the error bound is not rigorous: it is mpmath's own
-    tanh-sinh error estimate, taken with a safety factor of ten, and the
-    method says so.
+    letter 2.  mzv_numeric._depth1_integral evaluates it at letter 2 and
+    derives the error bound.  One term of that bound is not rigorous: it
+    is mpmath's own tanh-sinh error estimate, taken with a safety factor
+    of ten, and the method says so.
     """
     require_int(k, "k", 2)
     require_int(s, "s", 1)
@@ -373,7 +367,7 @@ def psi_depth1_integral(k: int, s: int) -> EvalResult:
 def psi_depth1_integral_check(
     k_values: tuple[int, ...] = (2, 3),
     s_values: tuple[int, ...] = (1, 2),
-    tolerance: float = 1e-8,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[VerificationReport]:
     """Quadrature of the defining integral against the closed T-value
     expression, for depth-one indices."""
@@ -391,7 +385,7 @@ def psi_depth1_integral_check(
 
 
 def odd_zeta_relation_check(
-    s_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8), tolerance: float = 1e-8
+    s_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8), tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
     """Depth one of the parity-restricted family is an explicit multiple
     of zeta: the odd-argument sum equals (1 - 2^(-s)) zeta(s)."""

@@ -61,7 +61,7 @@ from .index_algebra import (
     weight,
     word,
 )
-from .reports import RowLog
+from .reports import DEFAULT_TOLERANCE, RowLog
 
 __all__ = [
     "PoleError",
@@ -643,10 +643,15 @@ class _NearOneTable:
 _near_one_tables: dict[tuple[int, int], _NearOneTable] = {}
 
 
+# polylog_near_one truncates its series for u >= 1 where the tail falls
+# below 2^-(prec + _TAIL_GUARD_BITS), and adds that much to its bound.
+_TAIL_GUARD_BITS = 16
+
+
 def _exp_series_terms(x_log) -> int:
     # Terms of a series in x = e^(-x_log) with coefficients at most 1,
-    # until x^n falls below 2^-(prec + 16) e^(-x_log).
-    return int((_state["prec"] + 16) * math.log(2) / float(x_log)) + 2
+    # until x^n falls below 2^-(prec + _TAIL_GUARD_BITS) e^(-x_log).
+    return int((_state["prec"] + _TAIL_GUARD_BITS) * math.log(2) / float(x_log)) + 2
 
 
 def _near_one_table(k: int, letter: int) -> _NearOneTable:
@@ -733,8 +738,8 @@ def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
         raise ValueError("u must be positive")
     table = _near_one_table(k, letter)
     if uv >= 1:
-        # x^n_terms <= 2^-(prec+16) e^(-letter u), so the tail
-        # q x^n_terms / (1 - x) stays under 2^-(prec+16).
+        # x^n_terms <= 2^-(prec + _TAIL_GUARD_BITS) e^(-letter u), so the
+        # tail q x^n_terms / (1 - x) stays under 2^-(prec + _TAIL_GUARD_BITS).
         n_terms = _exp_series_terms(letter * uv)
         # q and x carry well under one unit of error before the floor, so
         # the point is within two.  Multiplying by q < 1/e shrinks the
@@ -745,7 +750,7 @@ def polylog_near_one(k: int, u, letter: int = 1) -> EvalResult:
             x = q if letter == 1 else q * q
         total, rounding = table.exp_series.evaluate(x, 2, n_terms)
         value = q * total
-        tail = mpmath.ldexp(1, -(_state["prec"] + 16))
+        tail = mpmath.ldexp(1, -(_state["prec"] + _TAIL_GUARD_BITS))
         return EvalResult(value, rounding + tail + _smear(value), "exponential-series")
 
     total, rounding = table.series.evaluate(uv, 1, len(table.series.coeffs))
@@ -823,9 +828,10 @@ def _depth1_integral(k: int, s: int, letter: int) -> EvalResult:
 # Checks owned by this module.
 
 
-def duality_numeric_check(max_weight: int = 8, tolerance: float = 1e-8):
+def duality_numeric_check(max_weight: int = 8, tolerance: float = DEFAULT_TOLERANCE):
     """Value equality under index duality, across every admissible index
     of weight up to max_weight (each dual pair checked once)."""
+    require_int(max_weight, "max_weight", 2)
     log = RowLog()
     pairs = []
     for k in sorted(indices_up_to_weight(max_weight), key=weight):
@@ -843,13 +849,15 @@ _ORACLE_SLATE_ZETA = ((2,), (3,), (4,), (1, 2), (2, 2), (1, 3), (1, 1, 2), (2, 3
 _ORACLE_SLATE_T0 = ((2,), (3,), (1, 2), (2, 2), (1, 1, 2), (2, 3))
 
 
-def direct_oracle_check(cutoff: int = 100_000, tolerance: float = 1e-8):
+def direct_oracle_check(cutoff: int = 100_000, tolerance: float = DEFAULT_TOLERANCE):
     """Convolution route against the truncated nested sum, both families.
 
     The oracle's tail bound enters the pass criterion, so the comparison
     stays honest even where the truncation error dwarfs the tolerance.
     """
     log = RowLog()
+    # Each slate's splits share their suffixes: build them in one walk.
+    _path_splits(_ORACLE_SLATE_ZETA, 1)
     _path_splits(_ORACLE_SLATE_T0, 2)
     families = (
         ("mzv.direct-sum-crosscheck", _ORACLE_SLATE_ZETA, mzv, mzv_direct),

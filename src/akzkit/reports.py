@@ -31,6 +31,8 @@ from typing import Any
 
 import mpmath
 
+from .index_algebra import require_tolerance
+
 PASS_EXACT = "pass_exact"
 PASS_NUMERIC = "pass_numeric"
 FAIL = "fail"
@@ -42,6 +44,9 @@ _STATUSES = (PASS_EXACT, PASS_NUMERIC, FAIL, SKIPPED_POLE, SKIPPED_BAD_PRIME, NO
 
 SCHEMA = "akzkit-report/1"
 
+# The tolerance every numeric check judges with unless told otherwise.
+DEFAULT_TOLERANCE = 1e-8
+
 __all__ = [
     "VerificationReport",
     "PASS_EXACT",
@@ -51,6 +56,7 @@ __all__ = [
     "SKIPPED_BAD_PRIME",
     "NOT_COVERED",
     "SCHEMA",
+    "DEFAULT_TOLERANCE",
     "RowLog",
     "format_rational",
     "format_real",
@@ -194,8 +200,10 @@ class RowLog:
 
         Both arguments need `.value` and `.error_bound` attributes.  The
         pass condition is |lhs - rhs| <= tolerance + both error bounds,
-        evaluated exactly, not at mpmath's current precision.
+        evaluated exactly, not at mpmath's current precision; the
+        tolerance must pass require_tolerance.
         """
+        require_tolerance(tolerance)
         gap = mpmath.fsub(lhs.value, rhs.value, exact=True)
         allowed = mpmath.fadd(mpmath.fadd(tolerance, lhs.error_bound, exact=True), rhs.error_bound, exact=True)
         ok = mpmath.fneg(allowed, exact=True) <= gap <= allowed

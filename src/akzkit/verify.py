@@ -10,16 +10,16 @@ from typing import Callable
 
 from . import ak_zeta, level2, pbn
 from .exact_series import negative_mpl_certificate_check
-from .index_algebra import require_int
+from .index_algebra import require_int, require_tolerance
 from .mzv_numeric import direct_oracle_check, duality_numeric_check, set_perturbation
-from .reports import VerificationReport
+from .reports import DEFAULT_TOLERANCE, VerificationReport
 
 __all__ = ["default_tasks", "verify_all"]
 
 Task = tuple[str, Callable[[], list[VerificationReport]]]
 
 
-def default_tasks(tolerance: float = 1e-8, max_weight: int = 8) -> list[Task]:
+def default_tasks(tolerance: float = DEFAULT_TOLERANCE, max_weight: int = 8) -> list[Task]:
     """The full suite, grouped by module, at the tolerances and ranges the
     package commits to.  `max_weight` only widens or narrows the plain
     duality sweep; the other checks keep their documented ranges."""
@@ -68,7 +68,7 @@ def default_tasks(tolerance: float = 1e-8, max_weight: int = 8) -> list[Task]:
 
 def verify_all(
     jobs: int = 1,
-    tolerance: float = 1e-8,
+    tolerance: float = DEFAULT_TOLERANCE,
     max_weight: int = 8,
     inject_perturbation: bool = False,
 ) -> list[VerificationReport]:
@@ -80,9 +80,12 @@ def verify_all(
     than a serial run.  `inject_perturbation` flips the deliberate-fault
     switch for the duration of the run so a caller can confirm the checks
     have teeth.  The precision is whatever `mzv_numeric.configure` last
-    set (256 bits by default).
+    set (256 bits by default).  The settings are checked before the first
+    task runs, against the rules the command line applies.
     """
     require_int(jobs, "jobs", 1)
+    require_tolerance(tolerance)
+    require_int(max_weight, "max_weight", 2)
     tasks = default_tasks(tolerance=tolerance, max_weight=max_weight)
     set_perturbation(inject_perturbation)
     merged: list[VerificationReport] = []

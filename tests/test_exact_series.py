@@ -18,7 +18,7 @@ from akzkit.exact_series import (
     negative_mpl_certificate_check,
     stirling2,
 )
-from series_oracles import one_minus_exp, truncate
+from series_oracles import exact_power, one_minus_exp, truncate
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=20)
 
@@ -170,7 +170,7 @@ def _mpl_reference(exponents, cap):
         nxt = [Fraction(0)]
         for m in range(1, cap + 1):
             running += h[m - 1]
-            nxt.append(running / Fraction(m) ** e)
+            nxt.append(running * exact_power(m, -e))
         h = nxt
     return tuple(h)
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from akzkit import verify
 from akzkit.ak_zeta import eta_symmetric_oracle, xi_series_oracle
-from akzkit.exact_series import exact_power, mpl_coeffs, stirling2
+from akzkit.exact_series import mpl_coeffs, stirling2
 from akzkit.index_algebra import (
     PoleError,
     _unword,
@@ -22,11 +22,12 @@ from akzkit.index_algebra import (
     refinements,
     require_index,
     require_int,
+    require_tolerance,
     weight,
     word,
 )
-from akzkit.level2 import ath_coeffs
-from akzkit.mzv_numeric import bernoulli_number, mzv_direct, t0_direct, zeta_nonpositive
+from akzkit.level2 import ath_coeffs, height_one_duality_check, odd_zeta_relation_check, psi_formula_crosscheck
+from akzkit.mzv_numeric import bernoulli_number, duality_numeric_check, mzv_direct, t0_direct, zeta_nonpositive
 from akzkit.pbn import B_symbolic, finite_mzv_mod_p
 
 indices = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
@@ -184,7 +185,6 @@ def test_require_int_names_the_argument(bad):
         lambda: xi_series_oracle(2, 2, 0),
         lambda: mpl_coeffs((2,), -1),
         lambda: ath_coeffs((2,), -1),
-        lambda: exact_power(2, 1.5),
         lambda: B_symbolic(2).evaluate_exact(1.5),
         lambda: bernoulli_number(True),
         lambda: bernoulli_number(2.0),
@@ -205,7 +205,6 @@ def test_require_int_names_the_argument(bad):
         "xi_series_oracle-zero-cutoff",
         "mpl_coeffs-negative-cap",
         "ath_coeffs-negative-cap",
-        "exact_power-float-exponent",
         "evaluate_exact-float-argument",
         "bernoulli_number-bool",
         "bernoulli_number-float",
@@ -222,4 +221,32 @@ def test_public_entries_refuse_what_require_int_refuses(call, monkeypatch):
     # An accepted verify_all(jobs=...) runs an empty battery, not the full one.
     monkeypatch.setattr(verify, "default_tasks", lambda **settings: [])
     with pytest.raises(ValueError, match="^[a-z ]+ must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [True, float("inf"), -float("inf"), float("nan"), -1, -1e-300, "1e-8", None])
+def test_require_tolerance_refuses_what_would_pass_or_fail_every_row(bad):
+    with pytest.raises(ValueError, match="^tolerance must be a finite number >= 0"):
+        require_tolerance(bad)
+
+
+@pytest.mark.parametrize("good", [0, 0.0, 1e-8, 1e-4, 3, 2**70])
+def test_require_tolerance_returns_what_it_accepts_unchanged(good):
+    assert require_tolerance(good) is good
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: odd_zeta_relation_check(tolerance=float("inf")), "tolerance"),
+        (lambda: duality_numeric_check(max_weight=1), "max_weight"),
+        (lambda: height_one_duality_check(max_rk=0), "max_rk"),
+        (lambda: psi_formula_crosscheck(max_r=0), "max_r"),
+        (lambda: psi_formula_crosscheck(max_k=0), "max_k"),
+    ],
+    ids=["odd_zeta-inf-tolerance", "duality-max_weight-1", "ht1-max_rk-0", "psi-max_r-0", "psi-max_k-0"],
+)
+def test_checks_refuse_on_their_own_what_the_command_line_refuses(call, name):
+    # Each would otherwise pass every row, or run none.
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         call()

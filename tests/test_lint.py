@@ -11,7 +11,11 @@ src/akzkit, the package's own included, is an attribute of that module
 once imported.
 
 Only `configure` sets mpmath's precision: no other statement in
-src/akzkit assigns `prec` or `dps` of `mp` or of `<anything>.mp`."""
+src/akzkit assigns `prec` or `dps` of `mp` or of `<anything>.mp`.
+
+The default tolerance is written once: no module of src/akzkit but
+`reports`, where `DEFAULT_TOLERANCE` is bound, holds the float 1e-8 as
+a constant."""
 
 import ast
 import importlib
@@ -172,3 +176,22 @@ def test_the_scan_finds_a_precision_assignment():
 @pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
 def test_only_configure_sets_mpmath_precision(path):
     assert _precision_assignments(path.read_text(encoding="utf-8")) == []
+
+
+def _default_tolerance_literals(source: str) -> list[int]:
+    """The lines that hold the float 1e-8 as a constant, however written."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-8
+    ]
+
+
+def test_the_scan_finds_a_default_tolerance_literal():
+    source = "def check(tolerance=1e-8):\n    return [0.00000001, 1E-08, 1e-4, 10**-8, '1e-8']\n"
+    assert _default_tolerance_literals(source) == [1, 2, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in _PACKAGE if p.stem != "reports"], ids=lambda p: p.name)
+def test_the_default_tolerance_is_written_once(path):
+    assert _default_tolerance_literals(path.read_text(encoding="utf-8")) == []

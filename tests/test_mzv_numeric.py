@@ -321,6 +321,17 @@ def test_a_cold_psi_crosscheck_builds_each_suffix_once(monkeypatch):
     assert len(steps) == len(_suffixes_of_sweep(read)) == 114
 
 
+def test_a_cold_direct_oracle_check_builds_each_slate_in_one_walk(monkeypatch):
+    # With only the T0 slate built up front, the zeta slate was split one
+    # index at a time: 53 steps from cold caches.
+    steps = _count_symbol_steps(monkeypatch)
+    for cache in ("_value_cache", "_result_cache", "_near_one_tables"):
+        monkeypatch.setattr(mzv_numeric, cache, {})
+    rows = direct_oracle_check(cutoff=100)
+    assert len(rows) == 16 and all(r.passed for r in rows)
+    assert len(steps) <= 30
+
+
 def test_every_cached_word_value_is_the_value_of_that_word_alone(monkeypatch):
     monkeypatch.setattr(mzv_numeric, "_value_cache", {})
     monkeypatch.setattr(mzv_numeric, "_result_cache", {})

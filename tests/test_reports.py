@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Any, NamedTuple
 
 import mpmath
+import pytest
 
 from akzkit.reports import SCHEMA, RowLog, VerificationReport, _jsonable, reports_to_document
 
@@ -48,3 +49,16 @@ def test_a_numeric_row_prints_and_judges_its_values_as_they_are():
     digits, gap = log.rows
     assert (digits.lhs, digits.status) == ("1.6449340668482264365", "pass_numeric")
     assert gap.status == "fail"
+
+
+@pytest.mark.parametrize("tolerance", [True, float("inf"), float("nan")], ids=["bool", "inf", "nan"])
+def test_a_numeric_row_refuses_a_tolerance_that_require_tolerance_refuses(tolerance):
+    # The rule itself is tested in test_index_algebra; here, that a row
+    # applies it, and still takes an int 0.
+    one = _Side(mpmath.mpf(1), 0)
+    log = RowLog()
+    with pytest.raises(ValueError, match="^tolerance must be"):
+        log.numeric("demo.tolerance", {}, one, one, tolerance)
+    assert log.rows == []
+    log.numeric("demo.tolerance", {}, one, one, 0)
+    assert [(r.status, r.tolerance) for r in log.rows] == [("pass_numeric", 0)]

@@ -1,5 +1,6 @@
-"""The battery's task list, the package names the benchmark traces, and
-what the benchmark's set-up time covers."""
+"""The battery's task list and the settings it refuses, the package
+names the benchmark traces, and what the benchmark's set-up time
+covers."""
 
 import ast
 import importlib
@@ -8,7 +9,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import akzkit
+from akzkit import verify
 from akzkit.verify import default_tasks
 
 _BENCHMARK = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
@@ -26,6 +30,37 @@ def test_benchmark_times_exactly_the_battery_tasks():
         if name.startswith("verify.task.") and name.endswith(".s")
     ]
     assert sorted(declared) == sorted(name for name, _ in default_tasks())
+
+
+@pytest.mark.parametrize(
+    "settings, name",
+    [
+        ({"tolerance": float("inf")}, "tolerance"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": -1}, "tolerance"),
+        ({"tolerance": True}, "tolerance"),
+        ({"tolerance": "1e-8"}, "tolerance"),
+        ({"tolerance": float("inf"), "inject_perturbation": True}, "tolerance"),
+        ({"max_weight": 1}, "max_weight"),
+    ],
+    ids=["inf", "nan", "negative", "bool", "str", "inf-perturbed", "max_weight-1"],
+)
+def test_verify_all_refuses_what_the_command_line_refuses(monkeypatch, settings, name):
+    # Refused before the first task: an infinite tolerance would pass every
+    # row, even a perturbed one, and max_weight 1 would run no duality.
+    def no_tasks(**_):
+        raise AssertionError("a task list was built")
+
+    monkeypatch.setattr(verify, "default_tasks", no_tasks)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify.verify_all(**settings)
+
+
+def test_verify_all_takes_a_zero_tolerance_written_as_an_int(monkeypatch):
+    built = []
+    monkeypatch.setattr(verify, "default_tasks", lambda **settings: built.append(settings) or [])
+    assert verify.verify_all(tolerance=0, max_weight=2) == []
+    assert built == [{"tolerance": 0, "max_weight": 2}]
 
 
 def test_every_traced_layer_resolves_on_the_package():
