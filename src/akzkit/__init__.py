@@ -25,7 +25,6 @@ from .mzv_numeric import (
     mzv,
     mzv_direct,
     mzsv,
-    set_perturbation,
     t0_value,
     t_value,
     zeta,
@@ -77,7 +76,6 @@ __all__ = [
     "poly_bernoulli_C",
     "psi_at_positive",
     "refinements",
-    "set_perturbation",
     "summarize",
     "t0_value",
     "t_value",

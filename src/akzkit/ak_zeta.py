@@ -34,6 +34,7 @@ from .index_algebra import (
     refinements,
     require_index,
     require_int,
+    require_ints,
     require_signed_parts,
 )
 from .mzv_numeric import (
@@ -272,17 +273,11 @@ def _harmonic_series(terms, cutoff: int, method: str) -> list[EvalResult]:
 
 def _eta_series(pairs, cutoff: int) -> list[EvalResult]:
     """eta_symmetric_oracle at every (k, n) of `pairs`, in one pass."""
-    for k, n in pairs:
-        require_int(k, "k", 1)
-        require_int(n, "n", 1)
     return _harmonic_series([(k - 1, n - 1, 2) for k, n in pairs], cutoff, "symmetric-series")
 
 
 def _xi_series(pairs, cutoff: int) -> list[EvalResult]:
     """xi_series_oracle at every (k, n) of `pairs`, in one pass."""
-    for k, n in pairs:
-        require_int(k, "k", 1)
-        require_int(n, "n", 1)
     return _harmonic_series([(n - 1, 0, k + 1) for k, n in pairs], cutoff, "harmonic-series")
 
 
@@ -295,12 +290,12 @@ def eta_symmetric_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     honest and often dominates any tolerance, which the combined pass
     criterion accounts for.
     """
-    return _eta_series([(k, n)], cutoff)[0]
+    return _eta_series([(require_int(k, "k", 1), require_int(n, "n", 1))], cutoff)[0]
 
 
 def xi_series_oracle(k: int, n: int, cutoff: int = 1_000_000) -> EvalResult:
     """Depth-one xi at (k, n) as sum_c G_(n-1)(c) / c^(k+1)."""
-    return _xi_series([(k, n)], cutoff)[0]
+    return _xi_series([(require_int(k, "k", 1), require_int(n, "n", 1))], cutoff)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +307,11 @@ def landen_check(max_weight: int = 5, order: int = 20) -> list[VerificationRepor
 
         Li_k(z/(z-1)) = (-1)^depth(k) * sum of Li_k'(z) over refinements k',
 
-    compared coefficientwise through the given order for every index of
-    weight up to max_weight."""
+    compared coefficientwise through the given order, at least 1 (the
+    constant coefficients are 0 on both sides), for every index of weight
+    1 to max_weight >= 1."""
+    require_int(max_weight, "max_weight", 1)
+    require_int(order, "order", 1)
     log = RowLog()
     inner = TruncatedSeries.from_list([0] + [-1] * order)  # z/(z-1)
     for k in indices_up_to_weight(max_weight):
@@ -340,7 +338,10 @@ def etaxi_relation_check(
         eta(k; s) = (-1)^(depth-1) * sum of xi(k'; s) over refinements,
         xi(k; s)  = (-1)^(depth-1) * sum of eta(k'; s) over refinements,
 
-    checked numerically at the given integer arguments."""
+    checked numerically for every index of weight 1 to max_weight >= 1 at
+    the given integer arguments, each at least 1."""
+    require_int(max_weight, "max_weight", 1)
+    m_values = require_ints(m_values, "m_values", 1)
     log = RowLog()
     reflections = (
         ("akzeta.eta-from-xi-reflection", eta_at_positive, xi_at_positive),
@@ -371,7 +372,10 @@ def eta_value_formulas_check(
         k + m with k_r >= 2 of [sum_{i=1}^{k_r - 1} C(k+m-r-i, m-i)]
         times mzv(k_1, ..., k_r),
 
-    against the zeta-star combination route."""
+    against the zeta-star combination route, for 1 <= k <= max_k and
+    1 <= m <= max_m."""
+    require_int(max_k, "max_k", 1)
+    require_int(max_m, "max_m", 1)
     log = RowLog()
     for k in range(1, max_k + 1):
         for m in range(1, max_m + 1):
@@ -399,7 +403,10 @@ def eta_value_formulas_check(
 def eta_symmetry_check(
     max_k: int = 4, max_n: int = 4, tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
-    """Symmetry of depth-one eta in its two slots: eta(k; n) = eta(n; k)."""
+    """Symmetry of depth-one eta in its two slots: eta(k; n) = eta(n; k),
+    for 1 <= k <= n with k <= max_k and n <= max_n, both at least 1."""
+    require_int(max_k, "max_k", 1)
+    require_int(max_n, "max_n", 1)
     log = RowLog()
     for k in range(1, max_k + 1):
         for n in range(k, max_n + 1):
@@ -424,7 +431,10 @@ def eta_threeway_check(
     """Three routes to depth-one eta: the zeta-star combination at (k, n),
     the same at (n, k), and the manifestly symmetric harmonic series.
     The first two agree to full precision; the series oracle joins at its
-    own honest accuracy."""
+    own honest accuracy.  pairs is a nonempty tuple of (k, n) with
+    k, n >= 1, and the series runs to cutoff >= 1."""
+    require_ints([x for pair in pairs for x in pair], "pairs", 1)
+    require_int(cutoff, "cutoff", 1)
     log = RowLog()
     oracles = None
     for i, (k, n) in enumerate(pairs):
@@ -458,9 +468,12 @@ def eta_dual_pair_check(max_k: int = 8, max_n: int = 8) -> list[VerificationRepo
 
         value of the (k+1)-form at -n  ==  value of the (n+1)-form at -k,
 
-    both finite Dirichlet polynomials evaluated exactly."""
+    both finite Dirichlet polynomials evaluated exactly, for 0 <= k <= n
+    with k <= max_k and n <= max_n, both at least 0."""
+    require_int(max_k, "max_k", 0)
+    require_int(max_n, "max_n", 0)
     log = RowLog()
-    for k in range(0, max_k + 1):
+    for k in range(max_k + 1):
         for n in range(k, max_n + 1):
             lhs = xitilde_closed((k + 1,)).evaluate_exact(-n)
             rhs = xitilde_closed((n + 1,)).evaluate_exact(-k)
@@ -482,7 +495,10 @@ def xi_depth1_enumeration_check(
                     of (j_k - 1) * mzv(j), and eta likewise with the
                     star value.
 
-    Both compared against the general combination route."""
+    Both compared against the general combination route, for
+    1 <= k <= max_k and 1 <= m <= max_m."""
+    require_int(max_k, "max_k", 1)
+    require_int(max_m, "max_m", 1)
     log = RowLog()
     families = (
         ("akzeta.xi-depth1-enumeration", xi_at_positive, mzv),
@@ -507,7 +523,12 @@ def xi_depth1_enumeration_check(
 def xi_series_representation_check(
     max_k: int = 3, max_n: int = 3, tolerance: float = 1e-4, cutoff: int = 1_000_000
 ) -> list[VerificationReport]:
-    """Depth-one xi against the harmonic-iterate series oracle."""
+    """Depth-one xi against the harmonic-iterate series oracle, for
+    1 <= k <= max_k and 1 <= n <= max_n, with the series run to
+    cutoff >= 1."""
+    require_int(max_k, "max_k", 1)
+    require_int(max_n, "max_n", 1)
+    require_int(cutoff, "cutoff", 1)
     log = RowLog()
     pairs = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
     for (k, n), oracle in zip(pairs, _xi_series(pairs, cutoff)):
@@ -570,9 +591,10 @@ def xi_family_crosscheck(tolerance: float = DEFAULT_TOLERANCE) -> list[Verificat
 def eta_closed_vs_symbolic_check(max_k: int = 10) -> list[VerificationReport]:
     """eta at the depth-one negative index -k is the k-th B-family number
     read as a function of the upper argument; the two Dirichlet
-    polynomials must match term for term."""
+    polynomials must match term for term, for 0 <= k <= max_k."""
+    require_int(max_k, "max_k", 0)
     log = RowLog()
-    for k in range(0, max_k + 1):
+    for k in range(max_k + 1):
         lhs = eta_closed_nonpositive((k,))
         rhs = B_symbolic(k)
         log.exact(
@@ -594,7 +616,12 @@ def nonpositive_specialization_check(
         eta form at -m   ==  B-family number of the negated index,
         companion at -m  ==  C-family number of the negated index,
 
-    for every negative index with weight + depth <= max_total."""
+    for every negative index with weight + depth <= max_total and every
+    m from 0 to max_m >= 0.  max_total is at least 2: the companion form
+    is undefined at the all-zero index, which is all that max_total 1
+    holds."""
+    require_int(max_total, "max_total", 2)
+    require_int(max_m, "max_m", 0)
     log = RowLog()
     forms = (
         ("akzeta.eta-nonpositive-specialization", eta_closed_nonpositive, "B"),

@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inject-perturbation",
         action="store_true",
-        help="deliberately nudge one value, not its cache, to prove the checks can fail",
+        help="deliberately nudge one value for this run, to prove the checks can fail",
     )
     p.set_defaults(func=_cmd_verify_all)
 

@@ -302,14 +302,19 @@ def negative_mpl(parts: tuple[int, ...]) -> RationalFunctionRep:
 
 
 def negative_mpl_certificate_check(max_total: int = 10, taylor_cap: int = 25) -> list[VerificationReport]:
-    """Certify every closed form with weight + depth <= max_total.
+    """Certify every closed form with weight + depth <= max_total, which
+    is at least 1.
 
     Each index gets one report covering four facts: the pole order is
     weight + depth, the numerator degree matches (weight + depth - 1 in
     general, depth when every exponent is zero, where the numerator is
     exactly z^depth), the numerator is divisible by z^depth, and the
     Taylor expansion agrees with the defining sum through taylor_cap.
+    taylor_cap is at least 1: the constant coefficients are 0 on both
+    sides.
     """
+    require_int(max_total, "max_total", 1)
+    require_int(taylor_cap, "taylor_cap", 1)
     log = RowLog()
     for r in range(1, max_total + 1):
         for w in range(0, max_total - r + 1):

@@ -23,6 +23,13 @@ that appears in the finite evaluation formulas.  It also holds every
 argument check the package makes: the validators of integers, indices
 and parts, the one admissibility rule, whose failure is PoleError, and
 require_tolerance, the rule every check's tolerance obeys.
+
+Every range a check sweeps obeys one rule, from here: a bound goes
+through require_int(bound, name, floor) and a tuple of values through
+require_ints(values, name, floor), which refuses an empty one.  Each
+returns what the check sweeps, and the floor is the smallest value at
+which every identity the check reports gets a comparison, so no check
+reports a pass over a range that compares nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "Composition",
     "PoleError",
     "require_int",
+    "require_ints",
     "require_tolerance",
     "weight",
     "depth",
@@ -98,18 +106,29 @@ def require_tolerance(value: float) -> float:
     return value
 
 
-def _require_parts(k: Iterable[int], what: str, minimum: int | None) -> Index:
-    parts = tuple(k)
-    if not parts:
-        raise ValueError(f"{what} must be nonempty")
-    for p in parts:
-        require_int(p, f"every part of {what} {parts!r}", minimum)
-    return parts
+def require_ints(values: Iterable[int], name: str, minimum: int | None = None) -> tuple[int, ...]:
+    """Return values as a tuple if it is nonempty and every entry is an int
+    (bool excluded) of at least minimum, else raise ValueError naming the
+    argument.
+
+    >>> require_ints([2, 3], "k_values", 2)
+    (2, 3)
+    >>> require_ints((), "k_values", 2)
+    Traceback (most recent call last):
+    ...
+    ValueError: k_values must be nonempty
+    """
+    items = tuple(values)
+    if not items:
+        raise ValueError(f"{name} must be nonempty")
+    for v in items:
+        require_int(v, f"every entry of {name} {items!r}", minimum)
+    return items
 
 
 def require_index(k: Iterable[int]) -> Index:
     """Validate and normalize an index: nonempty, every part a positive int."""
-    return _require_parts(k, "index", 1)
+    return require_ints(k, "index", 1)
 
 
 def require_signed_parts(k: Iterable[int]) -> Index:
@@ -118,14 +137,14 @@ def require_signed_parts(k: Iterable[int]) -> Index:
     Such a tuple stands for the negated exponent list (-k_1, ..., -k_r),
     the convention used by the negative-index polylogarithm helpers.
     """
-    return _require_parts(k, "signed index", 0)
+    return require_ints(k, "signed index", 0)
 
 
 def require_integer_index(k: Iterable[int]) -> Index:
     """Validate and normalize a multi-index of arbitrary integers, the
     upper index of the poly-Bernoulli numbers: nonempty, every entry an
     int of any sign."""
-    return _require_parts(k, "index", None)
+    return require_ints(k, "index")
 
 
 def weight(k: Iterable[int]) -> int:
@@ -237,7 +256,7 @@ def b_coefficient(k: Iterable[int], j: Iterable[int]) -> int:
     k must be an index and j a nonnegative composition of the same depth.
     """
     kp = require_index(k)
-    jp = _require_parts(j, "composition", 0)
+    jp = require_ints(j, "composition", 0)
     if len(kp) != len(jp):
         raise ValueError(f"depth mismatch: index {kp!r} vs composition {jp!r}")
     return math.prod(math.comb(ki + ji - 1, ji) for ki, ji in zip(kp, jp))

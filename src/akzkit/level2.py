@@ -43,6 +43,7 @@ from .index_algebra import (
     require_admissible,
     require_index,
     require_int,
+    require_ints,
 )
 from .mzv_numeric import (
     EvalResult,
@@ -104,15 +105,18 @@ def _arctanh_series(cap: int) -> TruncatedSeries:
     )
 
 
-def ath_series_identities(cap: int = 32) -> list[VerificationReport]:
-    """Exact structural facts about the level-two polylogarithm:
+def ath_series_identities() -> list[VerificationReport]:
+    """Exact structural facts about the level-two polylogarithm, compared
+    coefficientwise through z^32:
 
     * depth one splits off the even part: Ath_k(z) = Li_k(z) - 2^(-k) Li_k(z^2);
     * the all-ones index is a pure power: Ath(1,...,1; z) = arctanh(z)^r / r!;
     * one derivative strips the innermost integration, against dt/t when
       the last part exceeds 1 and against dt/(1-t^2) when it equals 1;
-    * composing with tanh gives the identity series (arctanh(tanh t) = t).
+    * composing with tanh gives the identity series (arctanh(tanh t) = t),
+      through t^24.
     """
+    cap = 32
     log = RowLog()
     for k in range(1, 9):
         li = mpl_coeffs((k,), cap)
@@ -256,13 +260,13 @@ def _psi_sides(r: int, k: int, m: int, value) -> tuple[EvalResult, EvalResult]:
 def psi_formula_crosscheck(
     max_r: int = 3, max_k: int = 3, m_values: tuple[int, ...] = (1, 2, 3), tolerance: float = DEFAULT_TOLERANCE
 ) -> list[VerificationReport]:
-    """The two closed expressions for height-one psi against each other.
-    Instances whose alternate route hits a divergent T value are reported
-    as skipped."""
+    """The two closed expressions for height-one psi against each other,
+    for 1 <= r <= max_r, 1 <= k <= max_k and m in m_values, each at least
+    1.  Instances whose alternate route hits a divergent T value are
+    reported as skipped."""
     require_int(max_r, "max_r", 1)
     require_int(max_k, "max_k", 1)
-    for m in m_values:
-        require_int(m, "m", 1)
+    m_values = require_ints(m_values, "m_values", 1)
     log = RowLog()
     grid = [(r, k, m) for r in range(1, max_r + 1) for k in range(1, max_k + 1) for m in m_values]
     _preload_t_values(functools.partial(_psi_sides, r, k, m) for r, k, m in grid)
@@ -277,7 +281,8 @@ def psi_formula_crosscheck(
 
 
 def height_one_duality_check(max_rk: int = 4, tolerance: float = DEFAULT_TOLERANCE) -> list[VerificationReport]:
-    """T(1^(r-1), k+1) = T(1^(k-1), r+1), the height-one duality."""
+    """T(1^(r-1), k+1) = T(1^(k-1), r+1), the height-one duality, for
+    1 <= r <= k <= max_rk."""
     require_int(max_rk, "max_rk", 1)
     log = RowLog()
     grid = [(r, k) for r in range(1, max_rk + 1) for k in range(r, max_rk + 1)]
@@ -307,7 +312,12 @@ def t_binomial_identity_check(
         = sum_{j=0}^{k-2} (-1)^j T(1^(r-1), k-j) T(1^j, m+1),
 
     plus its depth-two display at k = 2, r = 1 written in the
-    parity-restricted values directly."""
+    parity-restricted values directly.  Every m, r and k is at least 1:
+    at m = 0 the identity reads a divergent value, and r = 0 names no
+    height-one index."""
+    m_values = require_ints(m_values, "m_values", 1)
+    r_values = require_ints(r_values, "r_values", 1)
+    k_values = require_ints(k_values, "k_values", 1)
     log = RowLog()
     grid = [(m, r, k) for m in m_values for r in r_values for k in k_values]
     _preload_t_values(
@@ -370,7 +380,10 @@ def psi_depth1_integral_check(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[VerificationReport]:
     """Quadrature of the defining integral against the closed T-value
-    expression, for depth-one indices."""
+    expression, for the depth-one index (k) at every k of k_values, each
+    at least 2, and every s of s_values, each at least 1."""
+    k_values = require_ints(k_values, "k_values", 2)
+    s_values = require_ints(s_values, "s_values", 1)
     log = RowLog()
     for k in k_values:
         for s in s_values:
@@ -384,11 +397,11 @@ def psi_depth1_integral_check(
     return log.rows
 
 
-def odd_zeta_relation_check(
-    s_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8), tolerance: float = DEFAULT_TOLERANCE
-) -> list[VerificationReport]:
+def odd_zeta_relation_check(tolerance: float = DEFAULT_TOLERANCE) -> list[VerificationReport]:
     """Depth one of the parity-restricted family is an explicit multiple
-    of zeta: the odd-argument sum equals (1 - 2^(-s)) zeta(s)."""
+    of zeta: the odd-argument sum equals (1 - 2^(-s)) zeta(s), for
+    s = 2 to 8."""
+    s_values = range(2, 9)
     log = RowLog()
     _path_splits([(s,) for s in s_values], 2)
     for s in s_values:

@@ -35,11 +35,14 @@ keep what is asked for again: the value of each word integral at its
 exact point, each path-split result, and, per (k, letter), the
 u-independent coefficients of polylog_near_one.  None of their keys names
 the precision: configure empties all three when it changes it.  Cached
-values are served without entering the scope.
+values are served without entering the scope.  No other state is kept:
+the one deliberate fault, which proves that the checks can fail, lives in
+the path-split cache for one block and is gone after it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -68,7 +71,6 @@ __all__ = [
     "EvalResult",
     "configure",
     "current_precision",
-    "set_perturbation",
     "zeta",
     "mzv",
     "mzsv",
@@ -87,7 +89,7 @@ __all__ = [
 
 _DEFAULT_PREC = 256
 
-_state = {"prec": _DEFAULT_PREC, "perturb": False}
+_state = {"prec": _DEFAULT_PREC}
 
 _value_cache: dict[tuple, tuple] = {}
 _result_cache: dict[tuple, "EvalResult"] = {}
@@ -126,13 +128,6 @@ def _at_precision(fn):
             return fn(*args, **kwargs)
 
     return scoped
-
-
-def set_perturbation(enabled: bool) -> None:
-    """Deliberately corrupt one interior value (used to prove the checks
-    can fail).  Cached clean values stay clean; the nudge is applied on
-    the way out."""
-    _state["perturb"] = bool(enabled)
 
 
 def _mpf(x: Any):
@@ -364,11 +359,24 @@ def mzv(k) -> EvalResult:
 
     Raises PoleError when the last part is 1.
     """
-    parts = require_admissible(k)
-    res = _split_value(parts, 1)
-    if _state["perturb"] and parts == (1, 2):
-        return EvalResult(res.value * (1 + mpmath.mpf("1e-6")), res.error_bound, res.method + "+nudge")
-    return res
+    return _split_value(require_admissible(k), 1)
+
+
+@contextlib.contextmanager
+def _perturbed():
+    """A deliberate fault for the block, to prove the checks can fail:
+    mzv((1, 2)) is its value times 1 + 1e-6, built at the configured
+    precision, with its bound kept and "+nudge" on its method.  The split
+    is popped afterwards, not restored, since a configure in the block
+    empties the cache, so the clean value is rebuilt on the next call."""
+    clean = _split_value((1, 2), 1)
+    with mpmath.workprec(_state["prec"]):
+        value = clean.value * (1 + mpmath.mpf("1e-6"))
+    _result_cache[(1, (1, 2))] = EvalResult(value, clean.error_bound, clean.method + "+nudge")
+    try:
+        yield
+    finally:
+        _result_cache.pop((1, (1, 2)), None)
 
 
 def zeta(s: int) -> EvalResult:
@@ -830,7 +838,7 @@ def _depth1_integral(k: int, s: int, letter: int) -> EvalResult:
 
 def duality_numeric_check(max_weight: int = 8, tolerance: float = DEFAULT_TOLERANCE):
     """Value equality under index duality, across every admissible index
-    of weight up to max_weight (each dual pair checked once)."""
+    of weight 2 to max_weight >= 2 (each dual pair checked once)."""
     require_int(max_weight, "max_weight", 2)
     log = RowLog()
     pairs = []
@@ -854,7 +862,9 @@ def direct_oracle_check(cutoff: int = 100_000, tolerance: float = DEFAULT_TOLERA
 
     The oracle's tail bound enters the pass criterion, so the comparison
     stays honest even where the truncation error dwarfs the tolerance.
+    The nested sums run to cutoff >= 1.
     """
+    require_int(cutoff, "cutoff", 1)
     log = RowLog()
     # Each slate's splits share their suffixes: build them in one walk.
     _path_splits(_ORACLE_SLATE_ZETA, 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_series import _OneMinusExpSums, mpl_coeffs, stirling2
-from .index_algebra import indices_up_to_weight, require_int, require_integer_index
+from .index_algebra import indices_up_to_weight, require_int, require_integer_index, require_ints
 from .reports import SKIPPED_BAD_PRIME, RowLog, VerificationReport
 
 __all__ = [
@@ -249,6 +249,8 @@ def C_symbolic(n: int) -> DirichletPolynomial:
 
 def _duality_rows(identity: str, number, shift: int, max_n: int, max_k: int) -> list[VerificationReport]:
     # number(n, -k - shift) == number(k, -n - shift) for 0 <= n <= k.
+    require_int(max_n, "max_n", 0)
+    require_int(max_k, "max_k", 0)
     log = RowLog()
     for n in range(max_n + 1):
         for k in range(n, max_k + 1):
@@ -262,18 +264,23 @@ def _duality_rows(identity: str, number, shift: int, max_n: int, max_k: int) -> 
 
 
 def duality_check_B(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:
-    """B_n^(-k) = B_k^(-n), checked bit-exactly on the full grid."""
+    """B_n^(-k) = B_k^(-n), checked bit-exactly on the full grid
+    0 <= n <= k, n <= max_n, k <= max_k, with max_n, max_k >= 0."""
     return _duality_rows("pbn.B-duality", poly_bernoulli_B, 0, max_n, max_k)
 
 
 def duality_check_C(max_n: int = 12, max_k: int = 12) -> list[VerificationReport]:
-    """C_n^(-k-1) = C_k^(-n-1), checked bit-exactly on the full grid."""
+    """C_n^(-k-1) = C_k^(-n-1), checked bit-exactly on the full grid
+    0 <= n <= k, n <= max_n, k <= max_k, with max_n, max_k >= 0."""
     return _duality_rows("pbn.C-duality", poly_bernoulli_C, 1, max_n, max_k)
 
 
 def stirling_oracle_check(max_n: int = 30, max_abs_k: int = 8) -> list[VerificationReport]:
     """Series route against the Stirling closed forms, aggregated per
-    (kind, k) with n swept from 0 to max_n."""
+    (kind, k) with n swept from 0 to max_n >= 0 and |k| <= max_abs_k,
+    max_abs_k >= 0."""
+    require_int(max_n, "max_n", 0)
+    require_int(max_abs_k, "max_abs_k", 0)
     log = RowLog()
     for kind, symbolic in (("B", B_symbolic), ("C", C_symbolic)):
         # Each closed form serves every k.
@@ -295,21 +302,23 @@ def stirling_oracle_check(max_n: int = 30, max_abs_k: int = 8) -> list[Verificat
     return log.rows
 
 
-def _multi_oracle_indices(max_depth: int = 3) -> list[tuple[int, ...]]:
-    indices: list[tuple[int, ...]] = [(k,) for k in range(-3, 4)]
-    if max_depth >= 2:
-        indices += [t for t in itertools.product(range(-2, 3), repeat=2)]
-    if max_depth >= 3:
-        indices += [t for t in itertools.product((-1, 0, 2), repeat=3)]
-        indices += [(1, 1, 1), (2, 1, -2)]
-    return indices
+# The slate of multi_oracle_check, by depth.
+_MULTI_ORACLE_SLATES = (
+    tuple((k,) for k in range(-3, 4)),
+    tuple(itertools.product(range(-2, 3), repeat=2)),
+    tuple(itertools.product((-1, 0, 2), repeat=3)) + ((1, 1, 1), (2, 1, -2)),
+)
 
 
 def multi_oracle_check(max_depth: int = 3, max_n: int = 15) -> list[VerificationReport]:
     """Series route against the brute-force tuple sum for a fixed slate of
-    multi-indices up to the given depth, n swept from 0 to max_n."""
+    multi-indices up to the given depth, 1 to 3, n swept from 0 to
+    max_n >= 0."""
+    if require_int(max_depth, "max_depth", 1) > len(_MULTI_ORACLE_SLATES):
+        raise ValueError(f"max_depth must be an integer from 1 to 3, got {max_depth!r}")
+    require_int(max_n, "max_n", 0)
     log = RowLog()
-    for index in _multi_oracle_indices(max_depth):
+    for index in itertools.chain(*_MULTI_ORACLE_SLATES[:max_depth]):
         for kind in ("B", "C"):
             bad = [
                 n
@@ -348,8 +357,10 @@ def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[Verific
     A_j(n) = n! [x^n] e^x (e^x - 1)^j = sum_i (-1)^(j-i) C(j, i) (i+1)^n.
     Both sides are manifestly symmetric in x and y, and this one is built
     in ints with no series code.  Compared coefficientwise, one report per
-    row n.
+    row n, for 0 <= n <= max_n and 0 <= k <= max_k with max_n, max_k >= 0.
     """
+    require_int(max_n, "max_n", 0)
+    require_int(max_k, "max_k", 0)
     log = RowLog()
     a = [
         [_exp_power_coefficient(j, n) for n in range(max(max_n, max_k) + 1)]
@@ -377,13 +388,17 @@ def bivariate_generating_check(max_n: int = 10, max_k: int = 10) -> list[Verific
     return log.rows
 
 
+def _require_prime(p: int, name: str) -> None:
+    require_int(p, name, 2)
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"{name} must be a prime, got {p}")
+
+
 def finite_mzv_mod_p(index: tuple[int, ...], p: int) -> int:
     """sum over 0 < m_1 < ... < m_r < p of prod m_i^(-k_i), as a residue
     mod the prime p."""
     index = require_integer_index(index)
-    require_int(p, "p", 2)
-    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p must be a prime, got {p}")
+    _require_prime(p, "p")
     total = 0
     for ms in itertools.combinations(range(1, p), len(index)):
         term = 1
@@ -397,8 +412,13 @@ def congruence_check(
     primes: tuple[int, ...] = (5, 7, 11, 13), max_weight: int = 4
 ) -> list[VerificationReport]:
     """The truncated sum mod p equals -C_{p-2} at the index with its last
-    entry lowered by one.  Indices with a denominator divisible by p are
-    reported as skipped."""
+    entry lowered by one, for every prime p of primes (2 is the least) and
+    every index of weight 1 to max_weight >= 1.  Indices with a
+    denominator divisible by p are reported as skipped."""
+    primes = require_ints(primes, "primes", 2)
+    for p in primes:
+        _require_prime(p, f"every entry of primes {primes!r}")
+    require_int(max_weight, "max_weight", 1)
     log = RowLog()
     for p in primes:
         for index in indices_up_to_weight(max_weight):

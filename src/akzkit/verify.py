@@ -6,12 +6,13 @@ same settings produce reports in the same order.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable
 
 from . import ak_zeta, level2, pbn
 from .exact_series import negative_mpl_certificate_check
 from .index_algebra import require_int, require_tolerance
-from .mzv_numeric import direct_oracle_check, duality_numeric_check, set_perturbation
+from .mzv_numeric import _perturbed, direct_oracle_check, duality_numeric_check
 from .reports import DEFAULT_TOLERANCE, VerificationReport
 
 __all__ = ["default_tasks", "verify_all"]
@@ -77,21 +78,18 @@ def verify_all(
     Tasks run one after another whatever `jobs` says (it must still be at
     least 1): they spend their time in mpmath and Fraction arithmetic,
     which hold the interpreter lock, and a thread pool measured no faster
-    than a serial run.  `inject_perturbation` flips the deliberate-fault
-    switch for the duration of the run so a caller can confirm the checks
-    have teeth.  The precision is whatever `mzv_numeric.configure` last
-    set (256 bits by default).  The settings are checked before the first
-    task runs, against the rules the command line applies.
+    than a serial run.  `inject_perturbation` nudges the value of
+    mzv((1, 2)) by 1e-6 relative for this run only, so a caller can
+    confirm that the checks have teeth; the clean value returns when the
+    run ends, raise or return.  The precision is whatever
+    `mzv_numeric.configure` last set (256 bits by default).  The settings
+    are checked before the first task runs, against the rules the command
+    line applies, and every check refuses a range that would compare
+    nothing.
     """
     require_int(jobs, "jobs", 1)
     require_tolerance(tolerance)
     require_int(max_weight, "max_weight", 2)
     tasks = default_tasks(tolerance=tolerance, max_weight=max_weight)
-    set_perturbation(inject_perturbation)
-    merged: list[VerificationReport] = []
-    try:
-        for _, fn in tasks:
-            merged.extend(fn())
-    finally:
-        set_perturbation(False)
-    return merged
+    with _perturbed() if inject_perturbation else contextlib.nullcontext():
+        return [row for _, fn in tasks for row in fn()]

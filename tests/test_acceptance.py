@@ -21,11 +21,7 @@ from akzkit.level2 import (
     psi_formula_crosscheck,
     t_binomial_identity_check,
 )
-from akzkit.mzv_numeric import (
-    direct_oracle_check,
-    duality_numeric_check,
-    set_perturbation,
-)
+from akzkit.mzv_numeric import _perturbed, direct_oracle_check, duality_numeric_check
 from akzkit.pbn import (
     bivariate_generating_check,
     congruence_check,
@@ -118,12 +114,9 @@ def test_criterion_8_finite_sum_congruences():
 
 def test_criterion_9_perturbation_canary():
     started = time.time()
-    set_perturbation(True)
-    try:
+    with _perturbed():
         skewed = duality_numeric_check(max_weight=5, tolerance=1e-8)
         skewed += eta_symmetry_check(max_k=2, max_n=2, tolerance=1e-8)
-    finally:
-        set_perturbation(False)
     failures = [r for r in skewed if r.failed]
     assert failures, "the injected fault must break at least one identity"
     clean = duality_numeric_check(max_weight=5, tolerance=1e-8)

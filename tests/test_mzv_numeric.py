@@ -1,5 +1,5 @@
 """Numeric evaluation with error bounds: zeta values, parity-restricted
-sums, the polylogarithm near 1, and the deliberate-fault switch."""
+sums, the polylogarithm near 1, and the deliberate fault of one run."""
 
 import math
 import os
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import akzkit
-from akzkit import level2, mzv_numeric
+from akzkit import level2, mzv_numeric, verify
 from akzkit.index_algebra import dual, indices_up_to_weight, word
 from akzkit.level2 import height_one_duality_check, psi_formula_crosscheck
 from akzkit.mzv_numeric import (
@@ -30,7 +30,6 @@ from akzkit.mzv_numeric import (
     mzv_direct,
     mzsv,
     polylog_near_one,
-    set_perturbation,
     t0_direct,
     t0_value,
     t_value,
@@ -408,13 +407,39 @@ def test_precision_must_be_an_int_of_at_least_64_bits(bits):
         configure(bits)
 
 
-def test_perturbation_switch_breaks_and_restores_one_value():
+def test_the_perturbation_breaks_one_value_for_its_block_and_restores_it():
     clean = mzv((1, 2)).value
-    set_perturbation(True)
-    try:
+    with mzv_numeric._perturbed():
         skew = mzv((1, 2))
         assert abs(skew.value - clean) > 1e-7
         assert "nudge" in skew.method
-    finally:
-        set_perturbation(False)
     assert mzv((1, 2)).value == clean
+
+
+def test_the_perturbation_is_gone_after_a_configure_inside_its_block():
+    # configure empties the cache that holds the nudge, and the block's
+    # end must not put back a value built at the old precision.
+    bits = current_precision()
+    try:
+        with mzv_numeric._perturbed():
+            configure(bits + 64)
+        fresh = mzv((1, 2))
+        assert "nudge" not in fresh.method
+        assert fresh.error_bound < mpmath.mpf(2) ** -(bits + 16)
+    finally:
+        configure(bits)
+
+
+def test_verify_all_leaves_the_clean_value_after_an_injected_run(monkeypatch):
+    clean = mzv((1, 2))
+    monkeypatch.setattr(verify, "default_tasks", lambda **_: [("canary", lambda: [mzv((1, 2))])])
+    (skew,) = verify.verify_all(inject_perturbation=True)
+    assert "nudge" in skew.method
+    assert mzv((1, 2)).value._mpf_ == clean.value._mpf_
+    assert "nudge" not in mzv((1, 2)).method
+
+
+def test_the_package_has_no_perturbation_switch():
+    assert not hasattr(akzkit, "set_perturbation")
+    assert not hasattr(mzv_numeric, "set_perturbation")
+    assert list(mzv_numeric._state) == ["prec"]

@@ -342,7 +342,7 @@ def _divided_series(index, kind, max_n):
 
 @pytest.mark.parametrize("kind", ["B", "C"])
 def test_recurrence_matches_the_series_division(kind):
-    for index in dict.fromkeys(pbn._multi_oracle_indices() + _TABLE_INDICES):
+    for index in dict.fromkeys([index for slate in pbn._MULTI_ORACLE_SLATES for index in slate] + _TABLE_INDICES):
         got = [multi_poly_bernoulli(n, index, kind) for n in range(61)]
         assert got == _divided_series(index, kind, 60), index
 
